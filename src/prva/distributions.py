@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class InverseUnavailableError(ValueError):
@@ -77,9 +78,11 @@ def gaussian_cdf(x, spec: GaussianSpec):
     erfc is used instead of ``0.5*(1+erf(z/sqrt(2)))`` so the deep lower
     tail keeps full relative precision; tail mass enters the KL and
     benchmark oracles where cancellation would otherwise dominate.
+    ``math.erfc`` is applied elementwise; it stays within about 2 ulp of
+    an arbitrary-precision reference out to erfc(26) ~ 1e-296.
     """
     z = (np.asarray(x, dtype=float) - spec.mean) / spec.sigma
-    out = 0.5 * erfc(-z / math.sqrt(2.0))
+    out = 0.5 * _erfc(-z / math.sqrt(2.0))
     return out if out.ndim else float(out)
 
 

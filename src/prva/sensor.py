@@ -57,22 +57,29 @@ _CALIBRATION_HEADER = ("temperature_c", "voltage_v", "mean", "sigma")
 
 
 def _lerp(a: float, b: float, w: float) -> float:
+    """Blend a -> b by weight w.
+
+    The a + w*(b-a) form is exact at w = 0 and exact whenever the
+    endpoints coincide, so grid nodes reproduce their cell values bit
+    for bit and a constant grid interpolates to the constant.
+    """
     return a + w * (b - a)
 
 
 def _locate(axis, x: float):
-    """Cell index and weight along one grid axis.
+    """Bracketing node indices and weight along one grid axis.
 
-    Points that coincide with an axis node get weight 0 in the cell to
-    their right — except the topmost node, which has no right cell and
-    is reported as (last index, None), meaning "no interpolation on this
-    axis". This keeps every node evaluation exact.
+    Returns (lower, upper, weight). Points that coincide with an axis
+    node get weight 0 in the cell to their right — except the topmost
+    node, which has no right cell and is reported as (last, last, 0.0).
+    Either way every node evaluation is exact.
     """
+    last = len(axis) - 1
     if x == axis[-1]:
-        return len(axis) - 1, None
+        return last, last, 0.0
     i = int(np.searchsorted(axis, x, side="right")) - 1
-    i = max(0, min(i, len(axis) - 2))
-    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+    i = max(0, min(i, last - 1))
+    return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
 class GridRangeError(ValueError):
@@ -129,8 +136,12 @@ class AdcModel:
         x = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot quantize non-finite values")
-        idx = np.floor((x - self.range_lo) / self.width).astype(np.int64)
-        idx = np.clip(idx, 0, self.bin_count - 1)
+        # clip in float before the integer cast: casting first overflows
+        # for huge inputs and wraps them into the wrong bin. The out array
+        # keeps a scalar input 0-d, so the clip can run in place.
+        with np.errstate(over="ignore"):
+            idx = np.floor((x - self.range_lo) / self.width, out=np.empty_like(x))
+        idx = np.clip(idx, 0, self.bin_count - 1, out=idx).astype(np.int64)
         return idx if idx.ndim else int(idx)
 
     def value(self, codes):
@@ -194,24 +205,6 @@ class CalibrationGrid:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigmas", sigmas)
 
-    def _cell_interp(self, ti: int, vi: int, temperature: float, voltage: float):
-        """Bilinear blend inside cell (ti, vi), as composed lerps.
-
-        The a + w*(b-a) form is exact at w = 0 and exact whenever the
-        endpoints coincide, so grid nodes reproduce their cell values bit
-        for bit and a constant grid interpolates to the constant.
-        """
-        t0, t1 = self.temperatures[ti], self.temperatures[ti + 1]
-        v0, v1 = self.voltages[vi], self.voltages[vi + 1]
-        wt = (temperature - t0) / (t1 - t0)
-        wv = (voltage - v0) / (v1 - v0)
-        out = []
-        for cells in (self.means, self.sigmas):
-            lo = _lerp(cells[ti, vi], cells[ti, vi + 1], wv)
-            hi = _lerp(cells[ti + 1, vi], cells[ti + 1, vi + 1], wv)
-            out.append(_lerp(lo, hi, wt))
-        return float(out[0]), float(out[1])
-
     def noise_params(self, temperature: float, voltage: float):
         """Interpolated (mean, sigma) at an in-grid operating point.
 
@@ -230,21 +223,13 @@ class CalibrationGrid:
                 f"voltage {voltage} outside calibration range "
                 f"[{volts[0]}, {volts[-1]}]"
             )
-        ti, wt = _locate(temps, temperature)
-        vi, wv = _locate(volts, voltage)
-        out = []
-        for cells in (self.means, self.sigmas):
-            if wt is None and wv is None:
-                out.append(cells[ti, vi])
-            elif wt is None:
-                out.append(_lerp(cells[ti, vi], cells[ti, vi + 1], wv))
-            elif wv is None:
-                out.append(_lerp(cells[ti, vi], cells[ti + 1, vi], wt))
-            else:
-                lo = _lerp(cells[ti, vi], cells[ti, vi + 1], wv)
-                hi = _lerp(cells[ti + 1, vi], cells[ti + 1, vi + 1], wv)
-                out.append(_lerp(lo, hi, wt))
-        return float(out[0]), float(out[1])
+        t0, t1, wt = _locate(temps, temperature)
+        v0, v1, wv = _locate(volts, voltage)
+        mean, sigma = (
+            _lerp(_lerp(c[t0, v0], c[t0, v1], wv), _lerp(c[t1, v0], c[t1, v1], wv), wt)
+            for c in (self.means, self.sigmas)
+        )
+        return float(mean), float(sigma)
 
 
 def default_grid() -> CalibrationGrid:

@@ -100,8 +100,11 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     lo, hi = (float(hist_range[0]), float(hist_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
-    idx = np.floor((x - lo) * (bins / (hi - lo))).astype(np.int64)
-    idx = np.clip(idx, 0, bins - 1)
+    # clip in float before the integer cast, so huge or infinite samples
+    # saturate instead of overflowing into the wrong bin
+    with np.errstate(over="ignore"):
+        idx = np.floor((x - lo) * (bins / (hi - lo)))
+    idx = np.clip(idx, 0, bins - 1, out=idx).astype(np.int64)
     counts = np.bincount(idx, minlength=bins)
     return Histogram(edges=np.linspace(lo, hi, bins + 1), counts=counts)
 

@@ -26,7 +26,7 @@ from .stats import fit_gaussian
 
 
 class CacheEmpty(Exception):
-    """Non-blocking read from an empty (but still open) cache."""
+    """Non-blocking read asking for more than an open cache holds."""
 
 
 class CacheClosed(Exception):
@@ -170,8 +170,10 @@ class VariateCache:
 
         Blocks until ``count`` are available (or production closes, in
         which case whatever remains is returned — possibly fewer). With
-        ``block=False`` an empty open cache raises CacheEmpty instead of
-        waiting. A closed, fully drained cache raises CacheClosed.
+        ``block=False`` an open cache holding fewer than ``count`` raises
+        CacheEmpty instead of waiting, and pops nothing: the values stay
+        buffered for a later read. A closed, fully drained cache raises
+        CacheClosed.
         """
         count = int(count)
         if count < 1:
@@ -179,10 +181,10 @@ class VariateCache:
         parts = []
         got = 0
         with self._cond:
+            if not block and not self._closed and self._count < count:
+                raise CacheEmpty(f"cache holds {self._count} of {count} requested")
             while got < count:
                 while self._count == 0 and not self._closed:
-                    if not block:
-                        raise CacheEmpty("cache is empty")
                     self._cond.wait()
                 if self._count == 0 and self._closed:
                     if got == 0:
@@ -230,7 +232,6 @@ def fill_cache(
     counter: OpCounter | None = None,
     background: bool = False,
     chunk_size: int = 8192,
-    close_when_done: bool = True,
 ):
     """Retarget standardized values through ``coeffs`` into ``cache``.
 
@@ -242,7 +243,8 @@ def fill_cache(
     on a daemon thread and the started thread is returned, which is the
     producer/consumer arrangement the cache exists for; otherwise the
     cache is filled inline (its capacity must then cover all values, or
-    the blocked put would deadlock) and None is returned.
+    the blocked put would deadlock) and None is returned. Either way the
+    cache is closed when production ends.
     """
     spec = cache.requested_spec
     want = make_coeffs(GaussianSpec(0.0, 1.0), spec)
@@ -268,8 +270,7 @@ def fill_cache(
                 if piece.size:
                     cache.put_many(apply(coeffs, piece, counter))
         finally:
-            if close_when_done:
-                cache.close()
+            cache.close()
 
     if background:
         worker = threading.Thread(target=produce, name="prva-cache-fill", daemon=True)

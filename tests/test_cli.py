@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from prva import cli, transform
 from prva.cli import build_parser, main
 from prva.sensor import AdcModel, SampleTrace, load_trace, store_trace
 
@@ -123,6 +125,29 @@ def test_transform_synthesizes_and_retargets(capsys, tmp_path):
     assert len(values) == 20000
     assert abs(np.mean(values) - 5.0) < 0.1
     assert "cache capacity=20000" in out
+
+
+def test_transform_stdout_ignores_thread_scheduling(capsys, monkeypatch):
+    argv = ("transform", "--n", "20000", "--target-mean", "5", "--target-sigma", "2")
+    real_apply, real_fill = transform.apply, cli.fill_cache
+
+    def slow_apply(*args, **kwargs):
+        time.sleep(0.01)  # the consumer drains each chunk as it lands
+        return real_apply(*args, **kwargs)
+
+    def fill_then_join(*args, **kwargs):
+        worker = real_fill(*args, **kwargs)
+        worker.join(timeout=30)  # the consumer starts only once the cache is full
+        assert not worker.is_alive()
+        return worker
+
+    with monkeypatch.context() as m:
+        m.setattr(transform, "apply", slow_apply)
+        _, slow_producer, _ = run_cli(capsys, *argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "fill_cache", fill_then_join)
+        _, slow_consumer, _ = run_cli(capsys, *argv)
+    assert slow_producer == slow_consumer
 
 
 def test_transform_requires_target(capsys):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prva
 from prva.distributions import (
     ExponentialSpec,
     GaussianSpec,
@@ -128,3 +133,18 @@ def test_inverse_cdf_rejects_bad_probabilities():
 def test_inverse_cdf_refuses_gaussian_by_name():
     with pytest.raises(InverseUnavailableError, match="gaussian"):
         inverse_cdf(0.5, GaussianSpec(0.0, 1.0))
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(prva.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, prva; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False"

@@ -69,6 +69,22 @@ def test_adc_saturates_out_of_range():
     assert adc.quantize(1011.0) == 4095  # the top edge clips into the last bin
 
 
+@pytest.mark.parametrize(
+    "x, code",
+    [
+        (1e300, 4095),
+        (-1e300, 0),
+        (np.finfo(float).max, 4095),
+        (-np.finfo(float).max, 0),
+    ],
+)
+def test_adc_saturates_extreme_inputs(x, code):
+    adc = AdcModel(4096, 951.2, 1010.3)
+    assert adc.quantize(x) == code
+    in_range = adc.quantize(980.0)
+    np.testing.assert_array_equal(adc.quantize(np.array([x, 980.0])), [code, in_range])
+
+
 def test_adc_roundtrip_error_bounded_by_half_width():
     adc = AdcModel(4096, 951.0, 1011.0)
     x = np.linspace(951.0, 1011.0 - 1e-9, 10_000)
@@ -138,19 +154,21 @@ def test_grid_cell_midpoint_is_corner_average():
 
 def test_grid_continuous_across_cell_boundaries():
     grid = default_grid()
-    # points on an interior temperature node line, blended from either cell
-    ti = 3
-    t = grid.temperatures[ti]
-    for v in np.linspace(grid.voltages[0], grid.voltages[-1], 97):
-        vi = min(
-            int(np.searchsorted(grid.voltages, v, side="right")) - 1,
-            len(grid.voltages) - 2,
-        )
-        vi = max(vi, 0)
-        from_below = grid._cell_interp(ti - 1, vi, t, v)
-        from_above = grid._cell_interp(ti, vi, t, v)
-        assert abs(from_below[0] - from_above[0]) <= 1e-12
-        assert abs(from_below[1] - from_above[1]) <= 1e-12
+    temps, volts = grid.temperatures, grid.voltages
+    # a point just below an interior node is blended from the cell on its
+    # left, the node itself from the cell on its right
+    jumps = []
+    for t in temps[1:-1]:
+        for v in np.linspace(volts[0], volts[-1], 97):
+            at = grid.noise_params(t, v)
+            below = grid.noise_params(np.nextafter(t, -np.inf), v)
+            jumps += [abs(at[0] - below[0]), abs(at[1] - below[1])]
+    for v in volts[1:-1]:
+        for t in np.linspace(temps[0], temps[-1], 97):
+            at = grid.noise_params(t, v)
+            below = grid.noise_params(t, np.nextafter(v, -np.inf))
+            jumps += [abs(at[0] - below[0]), abs(at[1] - below[1])]
+    assert max(jumps) <= 1e-12
 
 
 def test_grid_out_of_range_names_the_axis():

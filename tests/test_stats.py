@@ -37,6 +37,22 @@ def test_histogram_saturates_instead_of_dropping():
     assert h.total == 4  # nothing silently discarded
 
 
+@pytest.mark.parametrize(
+    "x, counts",
+    [
+        (1e300, [0, 1, 0, 1]),
+        (-1e300, [1, 1, 0, 0]),
+        (np.finfo(float).max, [0, 1, 0, 1]),
+        (-np.finfo(float).max, [1, 1, 0, 0]),
+        (math.inf, [0, 1, 0, 1]),
+        (-math.inf, [1, 1, 0, 0]),
+    ],
+)
+def test_histogram_saturates_extreme_samples(x, counts):
+    h = histogram([x, 0.75], 4, (0.0, 2.0))
+    np.testing.assert_array_equal(h.counts, counts)
+
+
 def test_histogram_identical_samples_at_lo():
     h = histogram([2.0, 2.0, 2.0], 4, (2.0, 3.0))
     np.testing.assert_array_equal(h.counts, [3, 0, 0, 0])

@@ -173,6 +173,20 @@ def test_cache_nonblocking_empty():
         cache.get(block=False)
 
 
+def test_cache_nonblocking_short_read_keeps_values():
+    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
+    cache.put_many(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(CacheEmpty):
+        cache.get_many(5, block=False)
+    assert cache.occupancy == 3
+    assert cache.total_consumed == 0
+    np.testing.assert_array_equal(cache.get_many(3, block=False), [1.0, 2.0, 3.0])
+    # once production has ended a short non-blocking read returns what is left
+    cache.put_many(np.array([4.0, 5.0]))
+    cache.close()
+    np.testing.assert_array_equal(cache.get_many(5, block=False), [4.0, 5.0])
+
+
 def test_cache_close_then_drain():
     cache = VariateCache(8, GaussianSpec(0.0, 1.0))
     cache.put_many(np.array([1.0, 2.0]))
