@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp", type=float, default=10.0)
     p.add_argument("--volt", type=float, default=2.6)
     p.add_argument("--grid", default=None, help="calibration CSV (default: synthetic)")
-    p.add_argument("--cache-capacity", type=_positive_int, default=None)
     p.add_argument("--json", default=None, help="write the full report here")
     p.add_argument("--csv", default=None, help="write per-source rows here")
     _add_seed(p)
@@ -318,7 +317,6 @@ def cmd_benchmark(config: RunConfig) -> int:
         grid=grid,
         temperature=o["temp"],
         voltage=o["volt"],
-        cache_capacity=o["cache_capacity"],
     )
     for line in report.summary_lines():
         print(line)

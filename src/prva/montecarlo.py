@@ -22,6 +22,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .sensor import (
     AdcModel,
     CalibrationGrid,
     GridRangeError,
-    SampleTrace,
     default_adc,
     default_grid,
     generate_trace,
@@ -260,66 +260,6 @@ class BenchmarkReport:
         return lines
 
 
-def _uniform_rep(stream, cfg: SourceConfig, target: GaussianSpec, n: int):
-    k = cfg.half_width_sigmas
-    spec = UniformSpec(target.mean - k * target.sigma, target.mean + k * target.sigma)
-    t0 = time.perf_counter()
-    x = inversion_sample(stream, spec, n)
-    gen = time.perf_counter() - t0
-    return mc_integrate(x, target, source_label=cfg.label, base_elapsed=gen)
-
-
-def _gaussian_rep(stream, cfg: SourceConfig, target: GaussianSpec, n: int):
-    t0 = time.perf_counter()
-    x = reference_gaussian_sample(stream, target, n)
-    gen = time.perf_counter() - t0
-    return mc_integrate(x, target, source_label=cfg.label, base_elapsed=gen)
-
-
-def _prva_rep(
-    stream,
-    cfg: SourceConfig,
-    target: GaussianSpec,
-    n: int,
-    grid: CalibrationGrid,
-    adc: AdcModel,
-    temperature: float,
-    voltage: float,
-    replay_trace: SampleTrace | None,
-    cache_capacity: int | None,
-):
-    """One pipeline repetition: acquire/replay, compensate, retarget, drain.
-
-    The pipeline runs to completion into the cache before the timed
-    window opens (the accelerator analogue: variates are already waiting
-    in the FIFO); the timer then covers the drain plus integration.
-    """
-    if replay_trace is None:
-        trace = generate_trace(stream, grid, temperature, voltage, adc, n)
-        values = compensate(trace, grid, stream=stream)
-    else:
-        trace = replay_trace
-        try:
-            grid.noise_params(trace.temperature_c, trace.voltage_v)
-            values = compensate(trace, grid, stream=stream)
-        except GridRangeError:
-            values = compensate(trace, stream=stream, self_calibrate=True)
-        values = values[:n]
-    coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-    capacity = n if cache_capacity is None else int(cache_capacity)
-    cache = VariateCache(capacity, target)
-    worker = fill_cache(
-        cache, values, coeffs, counter=stream.counter, background=True
-    )
-    if capacity >= n:
-        worker.join()
-    t0 = time.perf_counter()
-    samples = cache.get_many(n)
-    gen = time.perf_counter() - t0
-    worker.join()
-    return mc_integrate(samples, target, source_label=cfg.label, base_elapsed=gen)
-
-
 def run_benchmark(
     sources,
     target: GaussianSpec,
@@ -332,7 +272,6 @@ def run_benchmark(
     adc: AdcModel | None = None,
     temperature: float = 10.0,
     voltage: float = 2.6,
-    cache_capacity: int | None = None,
 ) -> BenchmarkReport:
     """Benchmark every source on the same integration workload.
 
@@ -342,6 +281,9 @@ def run_benchmark(
     ``threads`` worker threads and reduced in repetition order, which
     keeps every non-timing field of the report identical across thread
     counts. Per-source operation counters are merged over repetitions.
+    A job's wall time covers drawing its n samples and integrating them;
+    a ``prva`` job fills its cache before the clock starts, so its draw
+    is the cache drain.
     """
     if n < 2:
         raise ValueError("benchmark needs n >= 2")
@@ -365,44 +307,45 @@ def run_benchmark(
                 )
             replays[cfg.label] = trace
 
-    def job(si: int, ri: int) -> IntegrationResult:
+    def job(si: int, ri: int):
         cfg = configs[si]
         counter = OpCounter()
         stream = SeededStream(derive_seed(seed, si, ri), counter)
         if cfg.kind == "uniform":
-            return _uniform_rep(stream, cfg, target, n), counter
-        if cfg.kind == "gaussian":
-            return _gaussian_rep(stream, cfg, target, n), counter
-        return (
-            _prva_rep(
-                stream,
-                cfg,
-                target,
-                n,
-                grid,
-                adc,
-                temperature,
-                voltage,
-                replays.get(cfg.label),
-                cache_capacity,
-            ),
-            counter,
-        )
+            half = cfg.half_width_sigmas * target.sigma
+            spec = UniformSpec(target.mean - half, target.mean + half)
+            draw = partial(inversion_sample, stream, spec, n)
+        elif cfg.kind == "gaussian":
+            draw = partial(reference_gaussian_sample, stream, target, n)
+        else:
+            # untimed: the pipeline fills the FIFO before the clock starts
+            trace = replays.get(cfg.label)
+            if trace is None:
+                trace = generate_trace(stream, grid, temperature, voltage, adc, n)
+            try:
+                values = compensate(trace, grid, stream=stream)
+            except GridRangeError:
+                values = compensate(trace, stream=stream, self_calibrate=True)
+            cache = VariateCache(n, target)
+            coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
+            fill_cache(cache, values[:n], coeffs, counter=counter, background=True).join()
+            draw = partial(cache.get_many, n)
+        t0 = time.perf_counter()
+        samples = draw()
+        gen = time.perf_counter() - t0
+        result = mc_integrate(samples, target, source_label=cfg.label, base_elapsed=gen)
+        return result, counter
 
-    jobs = [(si, ri) for si in range(len(configs)) for ri in range(repetitions)]
-    results = {}
-    if threads == 1:
-        for si, ri in jobs:
-            results[(si, ri)] = job(si, ri)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(si, ri): pool.submit(job, si, ri) for si, ri in jobs}
-        for key, fut in futures.items():
-            results[key] = fut.result()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {
+            (si, ri): pool.submit(job, si, ri)
+            for si in range(len(configs))
+            for ri in range(repetitions)
+        }
 
     aggregates = []
     for si, cfg in enumerate(configs):
-        reps = [results[(si, ri)] for ri in range(repetitions)]
+        reps = [futures[(si, ri)].result() for ri in range(repetitions)]
         errors = np.array([r.error for r, _ in reps])
         times = np.array([r.elapsed_s for r, _ in reps])
         ops = merge_counters(c for _, c in reps)

@@ -89,17 +89,18 @@ def compensate(
     allowing grid-free operation at the price of estimation error.
 
     Jitter uniforms are drawn from ``stream`` and all arithmetic is
-    charged to its counter.
+    charged to its counter. The grid is consulted before any jitter is
+    drawn, so an off-grid trace raises GridRangeError with the stream
+    untouched.
     """
+    if not self_calibrate:
+        if grid is None:
+            raise ValueError("compensate needs a calibration grid or self_calibrate=True")
+        src = GaussianSpec(*grid.noise_params(trace.temperature_c, trace.voltage_v))
     values = dequantize_with_jitter(trace, stream)
     if self_calibrate:
         fit = fit_gaussian(values)
         src = GaussianSpec(fit.mean, fit.sigma)
-    else:
-        if grid is None:
-            raise ValueError("compensate needs a calibration grid or self_calibrate=True")
-        mean, sigma = grid.noise_params(trace.temperature_c, trace.voltage_v)
-        src = GaussianSpec(mean, sigma)
     coeffs = make_coeffs(src, GaussianSpec(0.0, 1.0))
     return apply(coeffs, values, stream.counter)
 
@@ -112,7 +113,8 @@ class VariateCache:
     that would deliver anything else. Writes block while the cache is
     full and reads block while it is empty, so a slow consumer throttles
     the producer instead of growing memory. ``close()`` marks the end of
-    production: readers drain what remains and then see CacheClosed.
+    production: readers drain what remains and then see CacheClosed, or,
+    when production failed (``close(error)``), the producer's exception.
 
     Values are stored in chunks internally; occupancy and the high-water
     mark are counted in variates.
@@ -130,6 +132,7 @@ class VariateCache:
         self._head = 0  # read offset into the first chunk
         self._count = 0
         self._closed = False
+        self._error: BaseException | None = None
         self._cond = threading.Condition()
         self.high_water = 0
         self.total_produced = 0
@@ -169,7 +172,8 @@ class VariateCache:
         """Pop up to ``count`` variates in FIFO order.
 
         Blocks until ``count`` are available (or production closes, in
-        which case whatever remains is returned — possibly fewer). With
+        which case whatever remains is returned — possibly fewer — unless
+        production failed, which re-raises the producer's exception). With
         ``block=False`` an open cache holding fewer than ``count`` raises
         CacheEmpty instead of waiting, and pops nothing: the values stay
         buffered for a later read. A closed, fully drained cache raises
@@ -187,6 +191,8 @@ class VariateCache:
                 while self._count == 0 and not self._closed:
                     self._cond.wait()
                 if self._count == 0 and self._closed:
+                    if self._error is not None:
+                        raise self._error
                     if got == 0:
                         raise CacheClosed("cache is closed and drained")
                     break
@@ -207,9 +213,15 @@ class VariateCache:
     def get(self, block: bool = True) -> float:
         return float(self.get_many(1, block=block)[0])
 
-    def close(self) -> None:
-        """End production; blocked readers wake and drain what remains."""
+    def close(self, error: BaseException | None = None) -> None:
+        """End production; blocked readers wake and drain what remains.
+
+        ``error`` marks production as failed: a read the remaining
+        values cannot fill raises it instead of returning short.
+        """
         with self._cond:
+            if self._error is None:
+                self._error = error
             self._closed = True
             self._cond.notify_all()
 
@@ -241,10 +253,11 @@ def fill_cache(
     map N(0, 1) to some other Gaussian than ``cache.requested_spec``
     raise CoeffsMismatchError. With ``background=True`` production runs
     on a daemon thread and the started thread is returned, which is the
-    producer/consumer arrangement the cache exists for; otherwise the
-    cache is filled inline (its capacity must then cover all values, or
-    the blocked put would deadlock) and None is returned. Either way the
-    cache is closed when production ends.
+    producer/consumer arrangement the cache exists for; an exception in
+    production is kept on the cache and re-raised to its reader. Otherwise
+    the cache is filled inline and None is returned; an array larger than
+    the free room would block forever, so it raises ValueError up front.
+    Either way the cache is closed when production ends.
     """
     spec = cache.requested_spec
     want = make_coeffs(GaussianSpec(0.0, 1.0), spec)
@@ -260,6 +273,11 @@ def fill_cache(
         )
     if isinstance(values, np.ndarray):
         arr = values.ravel()
+        room = cache.capacity - cache.occupancy
+        if not background and arr.size > room:
+            raise ValueError(
+                f"inline fill of {arr.size} values into a cache with room for {room}"
+            )
         pieces = (arr[i : i + chunk_size] for i in range(0, arr.size, chunk_size))
     else:
         pieces = (np.asarray(p, dtype=float).ravel() for p in values)
@@ -269,6 +287,10 @@ def fill_cache(
             for piece in pieces:
                 if piece.size:
                     cache.put_many(apply(coeffs, piece, counter))
+        except Exception as exc:
+            cache.close(exc)
+            if not background:
+                raise
         finally:
             cache.close()
 

@@ -197,6 +197,13 @@ def test_benchmark_unknown_source_exits_one(capsys):
     assert "triangular" in err
 
 
+def test_benchmark_has_no_cache_capacity_option(capsys):
+    # the prefilled FIFO is the only timing the benchmark offers
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--cache-capacity", "5"])
+    assert exc.value.code == 2
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])

@@ -1,0 +1,134 @@
+"""Property tests: saturation, cache order and trace round trip for any input."""
+
+import os
+import tempfile
+from collections import deque
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from prva.distributions import GaussianSpec  # noqa: E402
+from prva.sensor import AdcModel, SampleTrace, load_trace, store_trace  # noqa: E402
+from prva.stats import histogram  # noqa: E402
+from prva.transform import CacheEmpty, VariateCache  # noqa: E402
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# converter and histogram geometries whose width is a normal float
+lows = st.floats(min_value=-1e6, max_value=1e6)
+spans = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@given(
+    x=st.lists(finite, min_size=1, max_size=50),
+    bins=st.integers(2, 4096),
+    lo=lows,
+    span=spans,
+)
+def test_adc_quantize_saturates_any_finite_input(x, bins, lo, span):
+    adc = AdcModel(bins, lo, lo + span)
+    codes = adc.quantize(np.array(x))
+    assert codes.dtype == np.int64
+    assert np.all((codes >= 0) & (codes < bins))
+    for value, code in zip(x, codes):
+        assert adc.quantize(value) == code  # scalar and array paths agree
+        if value <= adc.range_lo:
+            assert code == 0
+        elif value >= adc.range_hi:
+            assert code == bins - 1
+        else:
+            # in range: the code's bin holds the value, up to rounding
+            slack = 1e-9 * adc.width + 8 * np.spacing(abs(lo) + span)
+            assert adc.range_lo + code * adc.width <= value + slack
+            assert value < adc.range_lo + (code + 1) * adc.width + slack
+
+
+@given(
+    x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50),
+    bins=st.integers(1, 1024),
+    lo=lows,
+    span=spans,
+)
+def test_histogram_saturates_any_float(x, bins, lo, span):
+    hi = lo + span
+    counts = histogram(x, bins, (lo, hi)).counts
+    assert counts.sum() == len(x)
+    # an out-of-range sample counts exactly like the range edge it passed
+    edged = np.clip(x, lo, np.nextafter(hi, lo))
+    np.testing.assert_array_equal(counts, histogram(edged, bins, (lo, hi)).counts)
+
+
+# one step: ("put", k) appends k fresh values, ("get", k) reads k without blocking
+steps = st.lists(
+    st.tuples(st.sampled_from(("put", "get")), st.integers(1, 12)), max_size=60
+)
+
+
+@given(capacity=st.integers(1, 16), script=steps)
+def test_cache_fifo_order_without_loss(capacity, script):
+    cache = VariateCache(capacity, GaussianSpec(0.0, 1.0))
+    model = deque()
+    produced = 0
+    for op, k in script:
+        if op == "put":
+            k = min(k, capacity - cache.occupancy)  # a fuller put would block
+            if k == 0:
+                continue
+            values = np.arange(produced, produced + k, dtype=float)
+            cache.put_many(values)
+            model.extend(values)
+            produced += k
+        elif k > len(model):
+            with pytest.raises(CacheEmpty):
+                cache.get_many(k, block=False)
+        else:
+            expect = [model.popleft() for _ in range(k)]
+            assert cache.get_many(k, block=False).tolist() == expect
+        assert cache.occupancy == len(model)
+    cache.close()
+    if model:
+        assert cache.get_many(len(model) + 1, block=False).tolist() == list(model)
+    assert cache.total_produced == produced
+    assert cache.total_consumed == produced
+
+
+# header text must stay on its line: no control, line or paragraph separators
+header_text = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    bins=st.integers(2, 1 << 16),
+    ends=st.tuples(finite, finite),
+    temperature=st.floats(),
+    voltage=st.floats(),
+    rate=st.floats(min_value=1e-300, max_value=1e300),
+    source=header_text,
+)
+def test_trace_store_load_round_trip(data, bins, ends, temperature, voltage, rate, source):
+    lo, hi = sorted(ends)
+    hypothesis.assume(lo < hi)
+    codes = data.draw(st.lists(st.integers(0, bins - 1), min_size=1, max_size=200))
+    trace = SampleTrace(
+        codes=np.array(codes, dtype=np.int64),
+        adc=AdcModel(bins, lo, hi),
+        temperature_c=temperature,
+        voltage_v=voltage,
+        sample_rate_hz=rate,
+        source=source,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.txt")
+        store_trace(trace, path)
+        back = load_trace(path)
+    np.testing.assert_array_equal(back.codes, trace.codes)
+    assert back.adc == trace.adc
+    # repr compares NaN headers equal and keeps the sign of zero
+    for field in ("temperature_c", "voltage_v", "sample_rate_hz"):
+        assert repr(getattr(back, field)) == repr(getattr(trace, field))
+    assert back.source == source

@@ -7,7 +7,14 @@ import pytest
 
 from prva.distributions import GaussianSpec
 from prva.samplers import OpCounter, SeededStream
-from prva.sensor import CalibrationGrid, default_adc, default_grid, generate_trace
+from prva.sensor import (
+    CalibrationGrid,
+    GridRangeError,
+    SampleTrace,
+    default_adc,
+    default_grid,
+    generate_trace,
+)
 from prva.stats import fit_gaussian
 from prva.transform import (
     CacheClosed,
@@ -88,6 +95,17 @@ def test_compensate_requires_grid_or_self_calibration():
     trace = generate_trace(stream, grid, 10.0, 2.6, adc, 1_000)
     with pytest.raises(ValueError):
         compensate(trace, stream=stream)
+
+
+def test_compensate_off_grid_raises_before_drawing_jitter():
+    grid = default_grid()
+    adc = default_adc(grid)
+    codes = generate_trace(SeededStream(2), grid, 10.0, 2.6, adc, 1_000).codes
+    hot = SampleTrace(codes=codes, adc=adc, temperature_c=55.0, voltage_v=2.6)
+    stream = SeededStream(3)
+    with pytest.raises(GridRangeError):
+        compensate(hot, grid, stream=stream)
+    assert stream.draws_taken == 0
 
 
 def test_compensate_self_calibration_centers_exactly():
@@ -250,6 +268,50 @@ def test_fill_cache_inline_needs_enough_capacity():
     cache = VariateCache(500, spec)
     assert fill_cache(cache, values, coeffs) is None
     assert cache.occupancy == 500
+
+
+def test_fill_cache_inline_overflow_raises_instead_of_blocking():
+    spec = GaussianSpec(0.0, 1.0)
+    cache = VariateCache(4, spec)
+    raised = []
+
+    def fill():
+        try:
+            fill_cache(cache, np.arange(10.0), make_coeffs(spec, spec))
+        except ValueError as exc:
+            raised.append(exc)
+
+    # on a daemon thread, so a fill that blocks fails here instead of hanging
+    worker = threading.Thread(target=fill, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "inline fill blocked on a full cache"
+    assert len(raised) == 1 and "room for 4" in str(raised[0])
+    assert cache.occupancy == 0 and not cache.closed
+
+
+def test_fill_cache_producer_error_reaches_the_reader():
+    spec = GaussianSpec(0.0, 1.0)
+
+    def failing_values():
+        yield from (0.1, 0.2, 0.3, 0.4)
+        raise RuntimeError("sensor fault")
+
+    cache = VariateCache(16, spec)
+    worker = fill_cache(
+        cache, failing_values(), make_coeffs(spec, spec), background=True
+    )
+    with pytest.raises(RuntimeError, match="sensor fault"):
+        cache.get_many(10)
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    # inline, the error reaches the caller directly and still closes the cache
+    cache = VariateCache(16, spec)
+    with pytest.raises(RuntimeError, match="sensor fault"):
+        fill_cache(cache, failing_values(), make_coeffs(spec, spec))
+    assert cache.closed
+    with pytest.raises(RuntimeError, match="sensor fault"):
+        cache.get_many(10)
 
 
 def test_fill_cache_rejects_mislabeled_coeffs():
