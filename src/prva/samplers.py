@@ -284,6 +284,10 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
     sqrt(-2 ln s / s), which are then retargeted to ``spec`` with one
     multiply and one add apiece. Rejected pairs are charged to the
     counter's ``rejections``.
+
+    The arithmetic runs in place on buffers the function owns, in the
+    order the formulas above give, so every output bit equals that of
+    evaluating them as plain expressions.
     """
     n = 1 if size is None else int(size)
     out = np.empty(n, dtype=float)
@@ -291,27 +295,40 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
     counter = stream.counter
     while filled < n:
         pairs = max(16, int((n - filled) * 0.64) + 8)
-        x = 2.0 * stream.uniforms(pairs) - 1.0
-        y = 2.0 * stream.uniforms(pairs) - 1.0
-        s = x * x + y * y
-        ok = (s > 0.0) & (s < 1.0)
+        # one draw holds x then y: PCG64 doubles are sequential, so this is
+        # the same stream as two draws of ``pairs``
+        xy = stream.uniforms(2 * pairs)
+        xy *= 2.0
+        xy -= 1.0
+        x, y = xy[:pairs], xy[pairs:]
+        s = x * x
+        s += y * y
         counter.multiplications += 4 * pairs
         counter.additions += 3 * pairs
         counter.comparisons += pairs
-        kept = int(ok.sum())
+        ok = np.flatnonzero((s > 0.0) & (s < 1.0))
+        kept = ok.size
         counter.rejections += pairs - kept
         if kept == 0:
             continue
-        sk = s[ok]
-        m = np.sqrt(-2.0 * np.log(sk) / sk)
         counter.transcendental_evals += 2 * kept
         counter.multiplications += 3 * kept
         counter.divisions += kept
-        z = np.column_stack((x[ok] * m, y[ok] * m)).ravel()
-        take = min(z.size, n - filled)
-        out[filled : filled + take] = z[:take]
+        # every kept pair is charged; only those the output needs are computed
+        take = min(2 * kept, n - filled)
+        ok = ok[: (take + 1) // 2]
+        sk = s.take(ok)
+        m = np.log(sk)
+        m *= -2.0
+        m /= sk
+        np.sqrt(m, out=m)
+        # x*m and y*m interleave straight into the output
+        half = take // 2
+        np.multiply(x.take(ok), m, out=out[filled : filled + take : 2])
+        np.multiply(y.take(ok[:half]), m[:half], out=out[filled + 1 : filled + take : 2])
         filled += take
-    out = spec.mean + spec.sigma * out
+    out *= spec.sigma
+    out += spec.mean
     counter.multiplications += n
     counter.additions += n
     return float(out[0]) if size is None else out

@@ -55,6 +55,10 @@ _TRACE_FIELDS = (
 
 _CALIBRATION_HEADER = ("temperature_c", "voltage_v", "mean", "sigma")
 
+# every character str.splitlines breaks a line at; a header value holding
+# one would split its line in the trace file
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
 
 def _lerp(a: float, b: float, w: float) -> float:
     """Blend a -> b by weight w.
@@ -125,6 +129,14 @@ class AdcModel:
                 f"ADC range requires range_lo < range_hi, got "
                 f"[{self.range_lo}, {self.range_hi}]"
             )
+        # a width that overflows to inf or underflows to 0 makes the bin
+        # index of some inputs inf/inf or 0/0, a NaN that no clip saturates
+        width = self.width
+        if not (math.isfinite(width) and width > 0.0):
+            raise ValueError(
+                f"ADC range [{self.range_lo}, {self.range_hi}] over {self.bin_count} "
+                f"bins gives bin width {width}; it must be finite and positive"
+            )
 
     @property
     def width(self) -> float:
@@ -138,9 +150,11 @@ class AdcModel:
             raise ValueError("cannot quantize non-finite values")
         # clip in float before the integer cast: casting first overflows
         # for huge inputs and wraps them into the wrong bin. The out array
-        # keeps a scalar input 0-d, so the clip can run in place.
+        # keeps a scalar input 0-d, so every step can run in place.
         with np.errstate(over="ignore"):
-            idx = np.floor((x - self.range_lo) / self.width, out=np.empty_like(x))
+            idx = np.subtract(x, self.range_lo, out=np.empty_like(x))
+            np.divide(idx, self.width, out=idx)
+        np.floor(idx, out=idx)
         idx = np.clip(idx, 0, self.bin_count - 1, out=idx).astype(np.int64)
         return idx if idx.ndim else int(idx)
 
@@ -149,9 +163,13 @@ class AdcModel:
         c = np.asarray(codes)
         if not np.issubdtype(c.dtype, np.integer):
             raise ValueError("codes must be integers")
-        if np.any(c < 0) or np.any(c >= self.bin_count):
+        if c.size and (c.min() < 0 or c.max() >= self.bin_count):
             raise ValueError(f"codes must lie in [0, {self.bin_count})")
-        out = self.range_lo + (c.astype(float) + 0.5) * self.width
+        # range_lo + (c + 0.5) * width, evaluated in the float copy of c
+        out = c.astype(float)
+        out += 0.5
+        out *= self.width
+        out += self.range_lo
         return out if out.ndim else float(out)
 
 
@@ -294,10 +312,12 @@ class SampleTrace:
             raise ValueError("trace codes must be integers")
         if codes.size == 0:
             raise ValueError("trace must contain at least one code")
-        if np.any(codes < 0) or np.any(codes >= self.adc.bin_count):
+        if codes.min() < 0 or codes.max() >= self.adc.bin_count:
             raise ValueError(f"trace codes must lie in [0, {self.adc.bin_count})")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError("sample_rate_hz must be positive")
+        if not _LINE_BREAKS.isdisjoint(self.source):
+            raise ValueError(f"source must not contain a line break, got {self.source!r}")
         codes = codes.astype(np.int64, copy=True)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
@@ -345,11 +365,14 @@ def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarr
     per code; the affine jitter map charges two multiplies and two adds
     per sample to the stream's counter.
     """
-    centers = trace.adc.value(trace.codes)
+    out = trace.adc.value(trace.codes)
     n = trace.codes.size
-    u = stream.uniforms(n)
-    half = trace.adc.width / 2.0
-    out = centers + (2.0 * u - 1.0) * half
+    # value(c) + (2u - 1) * half, each step in place on the drawn uniforms
+    jitter = stream.uniforms(n)
+    jitter *= 2.0
+    jitter -= 1.0
+    jitter *= trace.adc.width / 2.0
+    out += jitter
     stream.counter.multiplications += 2 * n
     stream.counter.additions += 2 * n
     return out

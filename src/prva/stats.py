@@ -100,10 +100,19 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     lo, hi = (float(hist_range[0]), float(hist_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
+    # an infinite width, or an infinite bins-per-unit scale from a tiny
+    # one, makes the bin index of some samples inf*0 or 0*inf, a NaN that
+    # no clip saturates
+    scale = bins / (hi - lo)
+    if not (math.isfinite(hi - lo) and math.isfinite(scale)):
+        raise ValueError(
+            f"histogram range [{lo}, {hi}] is too wide or too narrow for "
+            f"{bins} bins (bin width {(hi - lo) / bins})"
+        )
     # clip in float before the integer cast, so huge or infinite samples
     # saturate instead of overflowing into the wrong bin
     with np.errstate(over="ignore"):
-        idx = np.floor((x - lo) * (bins / (hi - lo)))
+        idx = np.floor((x - lo) * scale)
     idx = np.clip(idx, 0, bins - 1, out=idx).astype(np.int64)
     counts = np.bincount(idx, minlength=bins)
     return Histogram(edges=np.linspace(lo, hi, bins + 1), counts=counts)

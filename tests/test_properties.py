@@ -1,5 +1,6 @@
-"""Property tests: saturation, cache order and trace round trip for any input."""
+"""Property tests: saturation, cache order, trace round trip and kernel contracts."""
 
+import math
 import os
 import tempfile
 from collections import deque
@@ -10,10 +11,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from prva.distributions import GaussianSpec  # noqa: E402
-from prva.sensor import AdcModel, SampleTrace, load_trace, store_trace  # noqa: E402
+from prva.distributions import GaussianSpec, gaussian_pdf  # noqa: E402
+from prva.montecarlo import mc_integrate  # noqa: E402
+from prva.samplers import SeededStream  # noqa: E402
+from prva.sensor import (  # noqa: E402
+    AdcModel,
+    SampleTrace,
+    dequantize_with_jitter,
+    load_trace,
+    store_trace,
+)
 from prva.stats import histogram  # noqa: E402
-from prva.transform import CacheEmpty, VariateCache  # noqa: E402
+from prva.transform import CacheEmpty, TransformCoeffs, VariateCache, apply  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # converter and histogram geometries whose width is a normal float
@@ -112,7 +121,8 @@ header_text = st.text(
 )
 def test_trace_store_load_round_trip(data, bins, ends, temperature, voltage, rate, source):
     lo, hi = sorted(ends)
-    hypothesis.assume(lo < hi)
+    # a converter needs a bin width that is a finite positive float
+    hypothesis.assume(lo < hi and math.isfinite(hi - lo) and (hi - lo) / bins > 0.0)
     codes = data.draw(st.lists(st.integers(0, bins - 1), min_size=1, max_size=200))
     trace = SampleTrace(
         codes=np.array(codes, dtype=np.int64),
@@ -132,3 +142,48 @@ def test_trace_store_load_round_trip(data, bins, ends, temperature, voltage, rat
     for field in ("temperature_c", "voltage_v", "sample_rate_hz"):
         assert repr(getattr(back, field)) == repr(getattr(trace, field))
     assert back.source == source
+
+
+# the kernels below compute in place on buffers they own; what they are
+# given must come back untouched, and a scalar in gives a Python scalar out
+moderate = st.floats(min_value=-1e6, max_value=1e6)
+SPEC = GaussianSpec(0.5, 2.0)
+COEFFS = TransformCoeffs(scale=1.5, offset=-3.0)
+
+
+@given(x=st.lists(moderate, min_size=2, max_size=50), seed=st.integers(0, 2**64 - 1))
+def test_kernels_leave_their_inputs_unmodified(x, seed):
+    x = np.array(x)
+    before = x.copy()
+    adc = AdcModel(16, -1.0, 1.0)
+    codes = adc.quantize(x)
+    codes_before = codes.copy()
+    adc.value(codes)
+    trace = SampleTrace(codes, adc, 10.0, 2.6)
+    dequantize_with_jitter(trace, SeededStream(seed))
+    apply(COEFFS, x)
+    histogram(x, 8, (-1.0, 1.0))
+    gaussian_pdf(x, SPEC)
+    mc_integrate(x, SPEC)
+    assert x.tobytes() == before.tobytes()
+    assert codes.tobytes() == codes_before.tobytes()
+    np.testing.assert_array_equal(trace.codes, codes_before)
+
+
+@given(
+    v=moderate,
+    code=st.integers(0, 15),
+    wraps=st.sampled_from(((float, int), (np.float64, np.int64), (np.array, np.array))),
+)
+def test_kernels_return_python_scalars_for_scalar_input(v, code, wraps):
+    real, integer = wraps  # Python scalar, numpy scalar or 0-d array
+    adc = AdcModel(16, -1.0, 1.0)
+    one = np.array([v])
+    for got, want, kind in (
+        (adc.quantize(real(v)), adc.quantize(one)[0], int),
+        (adc.value(integer(code)), adc.value(np.array([code]))[0], float),
+        (apply(COEFFS, real(v)), apply(COEFFS, one)[0], float),
+        (gaussian_pdf(real(v), SPEC), gaussian_pdf(one, SPEC)[0], float),
+    ):
+        assert type(got) is kind
+        assert repr(got) == repr(kind(want))  # scalar and array paths agree bit for bit

@@ -52,6 +52,13 @@ def test_adc_validation():
         AdcModel(16, 3.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, 5e-324)])
+def test_adc_rejects_range_whose_bin_width_overflows_or_underflows(lo, hi):
+    # a width of inf or 0 made quantize([1e308]) return INT64_MIN
+    with pytest.raises(ValueError, match="bin width"):
+        AdcModel(4, lo, hi)
+
+
 def test_adc_quantize_and_centers():
     adc = AdcModel(4, 0.0, 4.0)
     assert adc.width == 1.0
@@ -266,6 +273,16 @@ def test_sample_trace_validation():
         SampleTrace(np.array([], dtype=np.int64), adc, 10.0, 2.6)
     with pytest.raises(ValueError):
         SampleTrace(np.array([3]), adc, 10.0, 2.6, sample_rate_hz=0.0)
+
+
+@pytest.mark.parametrize(
+    "brk", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_sample_trace_rejects_line_break_in_source(brk):
+    # store_trace wrote such a source unescaped, and load_trace could not
+    # read the file back
+    with pytest.raises(ValueError, match="source"):
+        SampleTrace(np.array([3]), AdcModel(16, 0.0, 1.0), 10.0, 2.6, source=f"lab{brk}bench")
 
 
 # --- dequantization ------------------------------------------------------

@@ -69,6 +69,19 @@ def test_histogram_errors():
         histogram([math.nan], 4, (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "samples, bins, hist_range",
+    [
+        ([1e308, -1e308, 0.0], 4, (-1e308, 1e308)),  # width overflows to inf
+        ([0.0], 4, (0.0, 5e-324)),  # bin width underflows to 0
+        ([0.0], 1, (0.0, 4e-309)),  # bins per unit overflows to inf
+    ],
+)
+def test_histogram_rejects_range_too_wide_or_narrow_for_its_bins(samples, bins, hist_range):
+    with pytest.raises(ValueError, match="too wide or too narrow"):
+        histogram(samples, bins, hist_range)
+
+
 def test_fit_gaussian_known_values():
     fit = fit_gaussian([0.0, 2.0])
     assert fit.mean == 1.0
