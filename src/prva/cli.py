@@ -8,18 +8,17 @@ Subcommands map one-to-one onto the library's workflows:
 * ``transform`` — compensate a trace and retarget it to a requested Gaussian
 * ``benchmark`` — Monte Carlo integration benchmark across variate sources
 
-Every run is fully determined by its :class:`RunConfig` (command, seed,
-options): two runs with the same config produce byte-identical artifacts
-and stdout, except for wall-clock fields inside benchmark report files,
-which are measurements. Usage errors exit with status 2 (argparse),
-runtime failures print ``error: ...`` to stderr and exit 1, success is 0.
+Every run is fully determined by its command, seed and options: two runs
+with the same arguments produce byte-identical artifacts and stdout,
+except for wall-clock fields inside benchmark report files, which are
+measurements. Usage errors exit with status 2 (argparse), runtime
+failures print ``error: ...`` to stderr and exit 1, success is 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +42,6 @@ from .stats import (
 )
 from .transform import VariateCache, compensate, fill_cache, make_coeffs
 from .montecarlo import run_benchmark
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; equal configs give equal output."""
-
-    command: str
-    seed: int
-    options: dict
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        options = {k: v for k, v in vars(ns).items() if k not in ("command", "seed")}
-        return cls(command=ns.command, seed=ns.seed, options=options)
 
 
 def _positive_int(text: str) -> int:
@@ -172,66 +157,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_generate(config: RunConfig) -> int:
-    o = config.options
-    grid = load_calibration(o["grid"]) if o["grid"] else default_grid()
+def cmd_generate(args: argparse.Namespace) -> int:
+    grid = load_calibration(args.grid) if args.grid else default_grid()
     adc = default_adc(
-        grid, o["temp"], o["volt"], bits=o["bits"], span_sigmas=o["span_sigmas"]
+        grid, args.temp, args.volt, bits=args.bits, span_sigmas=args.span_sigmas
     )
-    stream = SeededStream(config.seed)
+    stream = SeededStream(args.seed)
     trace = generate_trace(
         stream,
         grid,
-        o["temp"],
-        o["volt"],
+        args.temp,
+        args.volt,
         adc,
-        o["n"],
-        sample_rate_hz=o["sample_rate"],
-        source=o["label"],
+        args.n,
+        sample_rate_hz=args.sample_rate,
+        source=args.label,
     )
-    store_trace(trace, o["out"])
+    store_trace(trace, args.out)
     print(
-        f"wrote {o['out']}: {len(trace)} codes, bins={adc.bin_count}, "
+        f"wrote {args.out}: {len(trace)} codes, bins={adc.bin_count}, "
         f"range=[{adc.range_lo!r}, {adc.range_hi!r}], "
-        f"temperature_c={float(o['temp'])!r}, voltage_v={float(o['volt'])!r}"
+        f"temperature_c={float(args.temp)!r}, voltage_v={float(args.volt)!r}"
     )
     return 0
 
 
-def cmd_kl(config: RunConfig) -> int:
-    o = config.options
-    if o["trace"]:
-        trace = load_trace(o["trace"])
+def cmd_kl(args: argparse.Namespace) -> int:
+    if args.trace:
+        trace = load_trace(args.trace)
         # score in sensor units (dequantized bin centers), where one unit
         # is the native code width; raw ADC codes would be far finer-grained
         # than that and the histogram would drown in per-bin noise
         fit, kl = unit_code_kl(trace.adc.value(trace.codes))
-        print(f"mode=trace file={o['trace']}")
+        print(f"mode=trace file={args.trace}")
         print(f"n={len(trace)}")
         print(f"kl_nats={kl!r}")
         print(f"fit_mean={fit.mean!r}")
         print(f"fit_sigma={fit.sigma!r}")
         return 0
-    spec_mean, spec_sigma = o["mean"], o["sigma"]
-    reps = o["repetitions"]
+    spec_mean, spec_sigma = args.mean, args.sigma
+    reps = args.repetitions
     kls = np.empty(reps)
     fit_means = np.empty(reps)
     fit_sigmas = np.empty(reps)
     for rep in range(reps):
-        stream = SeededStream(derive_seed(config.seed, rep))
-        if o["source"] == "uniform":
-            h = o["half_width"] * spec_sigma
+        stream = SeededStream(derive_seed(args.seed, rep))
+        if args.source == "uniform":
+            h = args.half_width * spec_sigma
             x = inversion_sample(
-                stream, UniformSpec(spec_mean - h, spec_mean + h), o["n"]
+                stream, UniformSpec(spec_mean - h, spec_mean + h), args.n
             )
         else:
             x = reference_gaussian_sample(
-                stream, GaussianSpec(spec_mean, spec_sigma), o["n"]
+                stream, GaussianSpec(spec_mean, spec_sigma), args.n
             )
         fit, kl = unit_code_kl(x)
         kls[rep], fit_means[rep], fit_sigmas[rep] = kl, fit.mean, fit.sigma
-    print(f"mode={o['source']} half_width_sigmas={o['half_width']!r}")
-    print(f"n={o['n']} repetitions={reps}")
+    print(f"mode={args.source} half_width_sigmas={args.half_width!r}")
+    print(f"n={args.n} repetitions={reps}")
     print(f"kl_mean={float(kls.mean())!r}")
     if reps > 1:
         lo, hi = confidence_interval_90(kls)
@@ -241,44 +224,42 @@ def cmd_kl(config: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    o = config.options
-    bin_counts = [int(b) for b in o["bins"].split(",") if b.strip()]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    bin_counts = [int(b) for b in args.bins.split(",") if b.strip()]
     if not bin_counts:
         raise ValueError("no bin counts given")
     rows = quantization_sweep(
-        GaussianSpec(o["mean"], o["sigma"]),
-        o["n"],
+        GaussianSpec(args.mean, args.sigma),
+        args.n,
         bin_counts,
-        o["repetitions"],
-        seed=config.seed,
+        args.repetitions,
+        seed=args.seed,
     )
     lines = ["bins,mean_kl"] + [f"{b},{kl!r}" for b, kl in rows]
     for line in lines:
         print(line)
-    if o["out"]:
-        with open(o["out"], "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_transform(config: RunConfig) -> int:
-    o = config.options
-    grid = load_calibration(o["grid"]) if o["grid"] else default_grid()
-    stream = SeededStream(config.seed)
-    if o["trace"]:
-        trace = load_trace(o["trace"])
+def cmd_transform(args: argparse.Namespace) -> int:
+    grid = load_calibration(args.grid) if args.grid else default_grid()
+    stream = SeededStream(args.seed)
+    if args.trace:
+        trace = load_trace(args.trace)
     else:
         adc = default_adc(
-            grid, o["temp"], o["volt"], bits=o["bits"], span_sigmas=o["span_sigmas"]
+            grid, args.temp, args.volt, bits=args.bits, span_sigmas=args.span_sigmas
         )
-        trace = generate_trace(stream, grid, o["temp"], o["volt"], adc, o["n"])
+        trace = generate_trace(stream, grid, args.temp, args.volt, adc, args.n)
     values = compensate(
-        trace, grid, stream=stream, self_calibrate=o["self_calibrate"]
+        trace, grid, stream=stream, self_calibrate=args.self_calibrate
     )
-    target = GaussianSpec(o["target_mean"], o["target_sigma"])
+    target = GaussianSpec(args.target_mean, args.target_sigma)
     coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-    cache = VariateCache(min(o["cache_capacity"], values.size), target)
+    cache = VariateCache(min(args.cache_capacity, values.size), target)
     fill_cache(cache, values, coeffs, counter=stream.counter, background=True)
     out = cache.get_many(values.size)
     fit = fit_gaussian(out)
@@ -292,38 +273,36 @@ def cmd_transform(config: RunConfig) -> int:
     print(f"fit_sigma={fit.sigma!r}")
     print(f"kl_nats={kl!r}")
     # high_water is left out: it depends on thread scheduling
-    s = cache.stats()
     print(
-        f"cache capacity={s['capacity']} "
-        f"produced={s['total_produced']} consumed={s['total_consumed']}"
+        f"cache capacity={cache.capacity} "
+        f"produced={cache.total_produced} consumed={cache.total_consumed}"
     )
-    if o["out"]:
-        with open(o["out"], "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(repr(float(v)) for v in out) + "\n")
     return 0
 
 
-def cmd_benchmark(config: RunConfig) -> int:
-    o = config.options
-    sources = [s.strip() for s in o["sources"].split(",") if s.strip()]
-    grid = load_calibration(o["grid"]) if o["grid"] else default_grid()
+def cmd_benchmark(args: argparse.Namespace) -> int:
+    sources = [s.strip() for s in args.sources.split(",") if s.strip()]
+    grid = load_calibration(args.grid) if args.grid else default_grid()
     report = run_benchmark(
         sources,
-        GaussianSpec(o["target_mean"], o["target_sigma"]),
-        o["n"],
-        o["repetitions"],
-        threads=o["threads"],
-        seed=config.seed,
+        GaussianSpec(args.target_mean, args.target_sigma),
+        args.n,
+        args.repetitions,
+        threads=args.threads,
+        seed=args.seed,
         grid=grid,
-        temperature=o["temp"],
-        voltage=o["volt"],
+        temperature=args.temp,
+        voltage=args.volt,
     )
     for line in report.summary_lines():
         print(line)
-    if o["json"]:
-        report.write_json(o["json"])
-    if o["csv"]:
-        report.write_csv(o["csv"])
+    if args.json:
+        report.write_json(args.json)
+    if args.csv:
+        report.write_csv(args.csv)
     return 0
 
 
@@ -338,10 +317,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = RunConfig.from_namespace(ns)
+    args = parser.parse_args(argv)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

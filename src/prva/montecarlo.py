@@ -54,54 +54,35 @@ class UnknownSourceError(ValueError):
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """One integration run: trapezoid area, its error, and the wall time."""
+    """One integration run: trapezoid area and its error."""
 
     area: float
     error: float
-    elapsed_s: float
     n: int
-    source_label: str = ""
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("integration needs at least 2 samples")
         if self.error != abs(1.0 - self.area):
             raise ValueError("error must equal |1 - area|")
-        if not (math.isfinite(self.elapsed_s) and self.elapsed_s >= 0):
-            raise ValueError("elapsed time must be non-negative")
 
 
-def mc_integrate(
-    samples,
-    target: GaussianSpec,
-    *,
-    source_label: str = "",
-    base_elapsed: float = 0.0,
-) -> IntegrationResult:
+def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     """Trapezoid-rule integral of the target density over sorted samples.
 
     The samples are sorted, the density is evaluated at each, and
     adjacent pairs contribute (x[i] - x[i-1]) * (f[i] + f[i-1]) / 2.
     The result's ``error`` is exactly |1 - area|; density mass outside
     [min(samples), max(samples)] is invisible to the rule and shows up
-    as error. ``base_elapsed`` lets a harness fold the sample-production
-    time into the reported wall clock.
+    as error.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"integration needs at least 2 samples, got {x.size}")
-    t0 = time.perf_counter()
     x = np.sort(x)
     f = gaussian_pdf(x, target)
     area = float(np.sum((x[1:] - x[:-1]) * (f[1:] + f[:-1])) * 0.5)
-    elapsed = time.perf_counter() - t0 + base_elapsed
-    return IntegrationResult(
-        area=area,
-        error=abs(1.0 - area),
-        elapsed_s=elapsed,
-        n=int(x.size),
-        source_label=source_label,
-    )
+    return IntegrationResult(area=area, error=abs(1.0 - area), n=int(x.size))
 
 
 @dataclass(frozen=True)
@@ -281,9 +262,9 @@ def run_benchmark(
     ``threads`` worker threads and reduced in repetition order, which
     keeps every non-timing field of the report identical across thread
     counts. Per-source operation counters are merged over repetitions.
-    A job's wall time covers drawing its n samples and integrating them;
-    a ``prva`` job fills its cache before the clock starts, so its draw
-    is the cache drain.
+    A job's wall time is one clock window from the draw of its n samples
+    to their integral; a ``prva`` job fills its cache before the window
+    opens, so its draw is the cache drain.
     """
     if n < 2:
         raise ValueError("benchmark needs n >= 2")
@@ -291,7 +272,7 @@ def run_benchmark(
         raise ValueError("repetitions must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    configs = [s if isinstance(s, SourceConfig) else parse_source(s) for s in sources]
+    configs = [parse_source(s) for s in sources]
     if not configs:
         raise ValueError("no sources given")
     grid = grid if grid is not None else default_grid()
@@ -328,13 +309,12 @@ def run_benchmark(
                 values = compensate(trace, stream=stream, self_calibrate=True)
             cache = VariateCache(n, target)
             coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-            fill_cache(cache, values[:n], coeffs, counter=counter, background=True).join()
+            fill_cache(cache, values[:n], coeffs, counter=counter)
             draw = partial(cache.get_many, n)
         t0 = time.perf_counter()
-        samples = draw()
-        gen = time.perf_counter() - t0
-        result = mc_integrate(samples, target, source_label=cfg.label, base_elapsed=gen)
-        return result, counter
+        result = mc_integrate(draw(), target)
+        elapsed = time.perf_counter() - t0
+        return result, elapsed, counter
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {
@@ -346,9 +326,9 @@ def run_benchmark(
     aggregates = []
     for si, cfg in enumerate(configs):
         reps = [futures[(si, ri)].result() for ri in range(repetitions)]
-        errors = np.array([r.error for r, _ in reps])
-        times = np.array([r.elapsed_s for r, _ in reps])
-        ops = merge_counters(c for _, c in reps)
+        errors = np.array([r.error for r, _, _ in reps])
+        times = np.array([t for _, t, _ in reps])
+        ops = merge_counters(c for _, _, c in reps)
         aggregates.append(
             SourceResult(
                 source=cfg.label,

@@ -135,10 +135,6 @@ class SeededStream:
         self.counter.uniform_draws += n
         return float(out[0]) if size is None else out
 
-    def derive(self, *keys: int, counter: OpCounter | None = None) -> "SeededStream":
-        """Child stream keyed by (this seed, keys); independent draw sequence."""
-        return SeededStream(derive_seed(self.seed, *keys), counter=counter)
-
 
 def inversion_sample(stream: SeededStream, spec, size: int | None = None):
     """Sample ``spec`` by inverse-CDF evaluation on stream uniforms.
@@ -163,17 +159,20 @@ def inversion_sample(stream: SeededStream, spec, size: int | None = None):
     return out
 
 
-def tight_envelope_constant(
-    target: GaussianSpec, proposal: UniformSpec, grid_points: int = 10001
-) -> float:
+# points of the evenly spaced grid that envelope checks scan over a
+# proposal support; odd, so a symmetric support's midpoint is on it
+_ENVELOPE_GRID_POINTS = 10001
+
+
+def tight_envelope_constant(target: GaussianSpec, proposal: UniformSpec) -> float:
     """Smallest c with target pdf <= c * proposal pdf on the proposal support.
 
     Scanned on an evenly spaced grid over [lo, hi]; for a Gaussian target
     this is exact whenever the grid contains the point of the support
-    nearest the mean (the default odd-sized grid does for symmetric
-    supports).
+    nearest the mean, which the odd-sized grid does for symmetric
+    supports.
     """
-    grid = np.linspace(proposal.lo, proposal.hi, grid_points)
+    grid = np.linspace(proposal.lo, proposal.hi, _ENVELOPE_GRID_POINTS)
     ratio = gaussian_pdf(grid, target) * proposal.width
     return float(ratio.max())
 
@@ -189,13 +188,6 @@ class AcceptRejectSampler:
     eight sigma of the mean); either failure is an error at build time,
     not at sampling time.
 
-    ``reciprocal_test=True`` swaps in the test ``U * (c*f(X)/u(X)) <= 1``,
-    a miswiring that turns up in the wild: it accepts with probability
-    proportional to u/f instead of f/u and therefore does NOT generate
-    the target distribution. It is retained only as a diagnostic for
-    demonstrating the defect against the correct rule under identical
-    cost accounting.
-
     Every attempt consumes exactly two uniforms (candidate + test) and is
     charged ten arithmetic operations: two additions, three multiplies,
     three divisions, one exponential, one comparison.
@@ -209,15 +201,7 @@ class AcceptRejectSampler:
         "comparisons": 1,
     }
 
-    def __init__(
-        self,
-        target: GaussianSpec,
-        proposal: UniformSpec,
-        c: float,
-        *,
-        reciprocal_test: bool = False,
-        grid_points: int = 10001,
-    ):
+    def __init__(self, target: GaussianSpec, proposal: UniformSpec, c: float):
         if not (math.isfinite(c) and c >= 1.0):
             raise ValueError(f"envelope constant must satisfy c >= 1, got {c}")
         reach = 8.0 * target.sigma
@@ -226,7 +210,7 @@ class AcceptRejectSampler:
                 f"proposal support [{proposal.lo}, {proposal.hi}] does not overlap "
                 f"the target mass region [{target.mean - reach}, {target.mean + reach}]"
             )
-        grid = np.linspace(proposal.lo, proposal.hi, grid_points)
+        grid = np.linspace(proposal.lo, proposal.hi, _ENVELOPE_GRID_POINTS)
         f = gaussian_pdf(grid, target)
         bound = c / proposal.width
         worst = int(np.argmax(f))
@@ -239,7 +223,6 @@ class AcceptRejectSampler:
         self.target = target
         self.proposal = proposal
         self.c = float(c)
-        self.reciprocal_test = bool(reciprocal_test)
 
     @property
     def accept_probability(self) -> float:
@@ -260,12 +243,7 @@ class AcceptRejectSampler:
             batch = min(4_000_000, int((n - filled) / p * 1.15) + 16)
             x = self.proposal.lo + stream.uniforms(batch) * self.proposal.width
             u = stream.uniforms(batch)
-            if self.reciprocal_test:
-                t = self.c * gaussian_pdf(x, self.target) / u_density
-                accept = u * t <= 1.0
-            else:
-                t = gaussian_pdf(x, self.target) / (self.c * u_density)
-                accept = u <= t
+            accept = u <= gaussian_pdf(x, self.target) / (self.c * u_density)
             for name, per_attempt in self._ATTEMPT_CHARGES.items():
                 setattr(counter, name, getattr(counter, name) + per_attempt * batch)
             kept = x[accept]

@@ -122,6 +122,13 @@ class AdcModel:
     def __post_init__(self):
         if int(self.bin_count) != self.bin_count or self.bin_count < 2:
             raise ValueError(f"bin_count must be an integer >= 2, got {self.bin_count}")
+        # codes pass through float64 in quantize and value; above 2**53
+        # they stop being exact there and the int64 cast wraps
+        if self.bin_count > 2**53:
+            raise ValueError(
+                f"bin_count {self.bin_count} exceeds 2**53, the largest count "
+                f"whose codes are exact in float64"
+            )
         if not (math.isfinite(self.range_lo) and math.isfinite(self.range_hi)):
             raise ValueError("ADC range bounds must be finite")
         if not self.range_lo < self.range_hi:
@@ -308,6 +315,8 @@ class SampleTrace:
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
+        if codes.ndim != 1:
+            raise ValueError(f"trace codes must be a 1-D array, got {codes.ndim}-D")
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("trace codes must be integers")
         if codes.size == 0:

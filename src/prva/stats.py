@@ -222,24 +222,23 @@ def quantization_sweep(
     bin_counts,
     repetitions: int,
     seed: int = 0,
-    span_sigmas: float = 4.0,
 ):
     """Mean self-fit KL as a function of histogram resolution.
 
     For each bin count b, ``repetitions`` independent batches of ``n``
-    Gaussian samples are histogrammed into b bins over mean +/-
-    span_sigmas * sigma, fit from the binned view, and scored with
-    :func:`kl_divergence`; the per-b KLs are averaged. Batches use seeds
-    derived from (seed, bin index, repetition index), so results do not
-    depend on evaluation order. Returns a list of (bins, mean_kl) pairs
-    in the order the bin counts were given.
+    Gaussian samples are histogrammed into b bins over mean +/- 4 sigma,
+    fit from the binned view, and scored with :func:`kl_divergence`; the
+    per-b KLs are averaged. Batches use seeds derived from (seed, bin
+    index, repetition index), so results do not depend on evaluation
+    order. Returns a list of (bins, mean_kl) pairs in the order the bin
+    counts were given.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    lo = spec.mean - span_sigmas * spec.sigma
-    hi = spec.mean + span_sigmas * spec.sigma
+    lo = spec.mean - 4.0 * spec.sigma
+    hi = spec.mean + 4.0 * spec.sigma
     out = []
     for bi, b in enumerate(bin_counts):
         kls = np.empty(repetitions)

@@ -225,16 +225,6 @@ class VariateCache:
             self._closed = True
             self._cond.notify_all()
 
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "occupancy": self.occupancy,
-            "high_water": self.high_water,
-            "total_produced": self.total_produced,
-            "total_consumed": self.total_consumed,
-            "closed": self._closed,
-        }
-
 
 def fill_cache(
     cache: VariateCache,

@@ -41,6 +41,14 @@ def test_generate_rejects_overlong_seed(capsys):
     assert exc.value.code == 2
 
 
+def test_generate_rejects_bits_beyond_float64_codes(capsys, tmp_path):
+    out = tmp_path / "t.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "10", "--bits", "64", "--out", str(out))
+    assert code == 1
+    assert "bin_count 18446744073709551616" in err
+    assert not out.exists()
+
+
 def test_kl_trace_mode(capsys, tmp_path):
     gen = tmp_path / "trace.txt"
     code, _, _ = run_cli(

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.montecarlo import (
     IntegrationResult,
@@ -54,16 +56,9 @@ def test_integrate_needs_two_samples():
         mc_integrate([1.0], GaussianSpec(0.0, 1.0))
 
 
-def test_base_elapsed_is_folded_into_wall_clock():
-    r = mc_integrate([0.0, 1.0], GaussianSpec(0.0, 1.0), base_elapsed=1.5)
-    assert r.elapsed_s >= 1.5
-
-
 def test_result_rejects_inconsistent_error():
     with pytest.raises(ValueError):
-        IntegrationResult(area=0.9, error=0.2, elapsed_s=0.0, n=2)
-    with pytest.raises(ValueError):
-        IntegrationResult(area=0.9, error=abs(1 - 0.9), elapsed_s=-1.0, n=2)
+        IntegrationResult(area=0.9, error=0.2, n=2)
 
 
 def test_parse_source_variants():
@@ -109,6 +104,20 @@ def test_benchmark_thread_count_does_not_change_results():
     d1.pop("threads")
     d4.pop("threads")
     assert d1 == d4
+
+
+def test_mean_time_covers_integration(monkeypatch):
+    # the job's clock window must span the integral, not the draw alone
+    real = montecarlo.mc_integrate
+
+    def slow_integrate(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_integrate", slow_integrate)
+    report = run_benchmark(("uniform:4", "gaussian", "prva"), TARGET, 500, 1, seed=2)
+    for s in report.sources:
+        assert s.mean_time_s >= 0.05, s.source
 
 
 def test_benchmark_uniform_ops_are_two_per_variate():
@@ -213,10 +222,12 @@ def test_report_csv_shape(tmp_path):
     p1, p2 = tmp_path / "r.csv", tmp_path / "s.csv"
     report.write_csv(p1)
     single.write_csv(p2)
-    rows = list(csv.reader(p1.open()))
+    with p1.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "source" and len(rows) == 3
     assert float(rows[1][4]) == report.sources[0].mean_error
-    srows = list(csv.reader(p2.open()))
+    with p2.open() as fh:
+        srows = list(csv.reader(fh))
     assert srows[1][5] == "" and srows[1][6] == ""  # no CI from one repetition
 
 

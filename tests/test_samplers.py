@@ -64,8 +64,6 @@ def test_derive_seed_is_stable_and_separating():
     assert derive_seed(7, 0) == 16920295385781661272
     assert derive_seed(7, 1) == 6635463128224577688
     assert derive_seed(7, 0) != derive_seed(8, 0)
-    child = SeededStream(7).derive(1, 2)
-    assert child.seed == 6837620415509415036
 
 
 def test_op_counter_arithmetic():
@@ -199,19 +197,6 @@ def test_accept_reject_op_accounting():
     p_hat = (attempts - counter.rejections) / attempts
     assert abs(p_hat - p) < 3.0 * math.sqrt(p * (1.0 - p) / attempts)
     assert x.size == n
-
-
-def test_accept_reject_reciprocal_rule_is_not_the_target():
-    # the inverted test keeps tail candidates and rejects the peak, so its
-    # spread lands far above the target's; kept only for comparison runs
-    target = GaussianSpec(0.0, 1.0)
-    proposal = UniformSpec(-6.0, 6.0)
-    c = tight_envelope_constant(target, proposal)
-    good = AcceptRejectSampler(target, proposal, c)
-    swapped = AcceptRejectSampler(target, proposal, c, reciprocal_test=True)
-    fit_good = fit_gaussian(good.sample(SeededStream(21), 50_000))
-    fit_swapped = fit_gaussian(swapped.sample(SeededStream(21), 50_000))
-    assert fit_swapped.sigma > fit_good.sigma + 0.5
 
 
 def test_polar_reference_moments():

@@ -59,6 +59,16 @@ def test_adc_rejects_range_whose_bin_width_overflows_or_underflows(lo, hi):
         AdcModel(4, lo, hi)
 
 
+@pytest.mark.parametrize("bins", [2**53 + 1, 2**63, 2**64, 2**100])
+def test_adc_rejects_bin_count_whose_codes_are_not_exact_in_float64(bins):
+    # 2**63 bins quantized [0.5, 2.0] to [2**62, INT64_MIN]
+    with pytest.raises(ValueError, match="bin_count"):
+        AdcModel(bins, 0.0, 1.0)
+    # the largest accepted count still quantizes exactly
+    edge = AdcModel(2**53, 0.0, 1.0).quantize([0.5, 2.0])
+    assert edge.tolist() == [2**52, 2**53 - 1]
+
+
 def test_adc_quantize_and_centers():
     adc = AdcModel(4, 0.0, 4.0)
     assert adc.width == 1.0
@@ -273,6 +283,14 @@ def test_sample_trace_validation():
         SampleTrace(np.array([], dtype=np.int64), adc, 10.0, 2.6)
     with pytest.raises(ValueError):
         SampleTrace(np.array([3]), adc, 10.0, 2.6, sample_rate_hz=0.0)
+
+
+@pytest.mark.parametrize("codes", [np.int64(5), np.array([[1, 2], [3, 4]])])
+def test_sample_trace_requires_1d_codes(codes):
+    # store_trace could not write either: iteration over a 0-d array, and
+    # int() of a row
+    with pytest.raises(ValueError, match="codes"):
+        SampleTrace(codes, AdcModel(16, 0.0, 1.0), 10.0, 2.6)
 
 
 @pytest.mark.parametrize(
