@@ -66,9 +66,22 @@ class ExponentialSpec:
 
 
 def gaussian_pdf(x, spec: GaussianSpec):
-    """Density of ``spec`` evaluated at ``x`` (scalar or array)."""
-    z = (np.asarray(x, dtype=float) - spec.mean) / spec.sigma
-    out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
+    """Density of ``spec`` evaluated at ``x`` (scalar or array).
+
+    exp(-0.5 * z * z) / (sigma * sqrt(2 pi)) with z = (x - mean) / sigma,
+    each step in place on one buffer. Squaring before the exact ×−0.5
+    changes a rounding only where 0.5·z² is subnormal, and exp gives 1.0
+    there either way. A |z| whose square overflows gives 0.0, unwarned.
+    """
+    x = np.asarray(x, dtype=float)
+    # the out array keeps a scalar input 0-d, so every step runs in place
+    out = np.subtract(x, spec.mean, out=np.empty_like(x))
+    out /= spec.sigma
+    with np.errstate(over="ignore"):
+        np.multiply(out, out, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= spec.sigma * math.sqrt(2.0 * math.pi)
     return out if out.ndim else float(out)
 
 
@@ -114,13 +127,19 @@ def inverse_cdf(p, spec):
     for those instead.
     """
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0) or np.any(np.isnan(p_arr)):
+    # a NaN propagates through min and max and fails both comparisons
+    if p_arr.size and not (p_arr.min() >= 0.0 and p_arr.max() <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
+    # lo + p * width and -log1p(-p) / rate, in place on one output buffer
     if isinstance(spec, UniformSpec):
-        out = spec.lo + p_arr * spec.width
+        out = np.multiply(p_arr, spec.width, out=np.empty_like(p_arr))
+        out += spec.lo
     elif isinstance(spec, ExponentialSpec):
+        out = np.negative(p_arr, out=np.empty_like(p_arr))
         with np.errstate(divide="ignore"):
-            out = -np.log1p(-p_arr) / spec.rate
+            np.log1p(out, out=out)
+        np.negative(out, out=out)
+        out /= spec.rate
     elif isinstance(spec, GaussianSpec):
         raise InverseUnavailableError(
             "no closed-form inverse CDF for family 'gaussian'; "

@@ -74,14 +74,25 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     adjacent pairs contribute (x[i] - x[i-1]) * (f[i] + f[i-1]) / 2.
     The result's ``error`` is exactly |1 - area|; density mass outside
     [min(samples), max(samples)] is invisible to the rule and shows up
-    as error.
+    as error. A NaN or infinite sample raises ValueError.
+
+    Only the sorted copy and the density are allocated. The differences
+    overwrite the sorted copy and the pairwise sums the density, each
+    from the front, so every slot is read before it is written; the
+    product is then summed over the same contiguous n - 1 values as the
+    expression above, in the same pairwise order.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"integration needs at least 2 samples, got {x.size}")
     x = np.sort(x)
+    # sorted, so -inf is first and +inf, then NaN, last
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ValueError("integration samples must be finite")
     f = gaussian_pdf(x, target)
-    area = float(np.sum((x[1:] - x[:-1]) * (f[1:] + f[:-1])) * 0.5)
+    width = np.subtract(x[1:], x[:-1], out=x[:-1])
+    width *= np.add(f[1:], f[:-1], out=f[:-1])
+    area = float(np.sum(width) * 0.5)
     return IntegrationResult(area=area, error=abs(1.0 - area), n=int(x.size))
 
 

@@ -254,6 +254,10 @@ class AcceptRejectSampler:
         return float(out[0]) if size is None else out
 
 
+# candidate pairs per block of the polar sampler's kept-pair work
+_POLAR_BLOCK_PAIRS = 2**14
+
+
 def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=None):
     """Polar-method Gaussian baseline, drawn from the package's own uniforms.
 
@@ -265,7 +269,9 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
 
     The arithmetic runs in place on buffers the function owns, in the
     order the formulas above give, so every output bit equals that of
-    evaluating them as plain expressions.
+    evaluating them as plain expressions. Past the draw and the output,
+    the work runs in blocks of candidate pairs, so its temporaries stay
+    small whatever ``size`` is.
     """
     n = 1 if size is None else int(size)
     out = np.empty(n, dtype=float)
@@ -278,33 +284,38 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
         xy = stream.uniforms(2 * pairs)
         xy *= 2.0
         xy -= 1.0
-        x, y = xy[:pairs], xy[pairs:]
-        s = x * x
-        s += y * y
         counter.multiplications += 4 * pairs
         counter.additions += 3 * pairs
         counter.comparisons += pairs
-        ok = np.flatnonzero((s > 0.0) & (s < 1.0))
-        kept = ok.size
+        kept = 0
+        # the kept-pair work runs in blocks, so none of its temporaries is
+        # as large as the draw; kept pairs reach the output in draw order
+        for lo in range(0, pairs, _POLAR_BLOCK_PAIRS):
+            hi = min(lo + _POLAR_BLOCK_PAIRS, pairs)
+            x, y = xy[lo:hi], xy[pairs + lo : pairs + hi]
+            s = x * x
+            s += y * y
+            ok = np.flatnonzero((s > 0.0) & (s < 1.0))
+            kept += ok.size
+            # every kept pair is charged; only those the output needs are computed
+            take = min(2 * ok.size, n - filled)
+            if take == 0:
+                continue
+            ok = ok[: (take + 1) // 2]
+            sk = s.take(ok)
+            m = np.log(sk)
+            m *= -2.0
+            m /= sk
+            np.sqrt(m, out=m)
+            # x*m and y*m interleave straight into the output
+            half = take // 2
+            np.multiply(x.take(ok), m, out=out[filled : filled + take : 2])
+            np.multiply(y.take(ok[:half]), m[:half], out=out[filled + 1 : filled + take : 2])
+            filled += take
         counter.rejections += pairs - kept
-        if kept == 0:
-            continue
         counter.transcendental_evals += 2 * kept
         counter.multiplications += 3 * kept
         counter.divisions += kept
-        # every kept pair is charged; only those the output needs are computed
-        take = min(2 * kept, n - filled)
-        ok = ok[: (take + 1) // 2]
-        sk = s.take(ok)
-        m = np.log(sk)
-        m *= -2.0
-        m /= sk
-        np.sqrt(m, out=m)
-        # x*m and y*m interleave straight into the output
-        half = take // 2
-        np.multiply(x.take(ok), m, out=out[filled : filled + take : 2])
-        np.multiply(y.take(ok[:half]), m[:half], out=out[filled + 1 : filled + take : 2])
-        filled += take
     out *= spec.sigma
     out += spec.mean
     counter.multiplications += n

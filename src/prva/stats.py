@@ -92,7 +92,8 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise EmptyDataError("cannot histogram zero samples")
-    if np.any(np.isnan(x)):
+    # a NaN propagates through min
+    if math.isnan(x.min()):
         raise ValueError("samples contain NaN")
     bins = int(bins)
     if bins < 1:
@@ -109,11 +110,14 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
             f"histogram range [{lo}, {hi}] is too wide or too narrow for "
             f"{bins} bins (bin width {(hi - lo) / bins})"
         )
-    # clip in float before the integer cast, so huge or infinite samples
-    # saturate instead of overflowing into the wrong bin
+    # floor((x - lo) * scale) in one buffer; clip in float before the
+    # integer cast, so huge or infinite samples saturate instead of
+    # overflowing into the wrong bin, and cast as the clip writes
     with np.errstate(over="ignore"):
-        idx = np.floor((x - lo) * scale)
-    idx = np.clip(idx, 0, bins - 1, out=idx).astype(np.int64)
+        pos = np.subtract(x, lo)
+        pos *= scale
+    np.floor(pos, out=pos)
+    idx = np.clip(pos, 0, bins - 1, out=np.empty(pos.shape, np.int64), casting="unsafe")
     counts = np.bincount(idx, minlength=bins)
     return Histogram(edges=np.linspace(lo, hi, bins + 1), counts=counts)
 
@@ -127,7 +131,12 @@ def fit_gaussian(samples) -> FitResult:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"gaussian fit needs at least 2 samples, got {x.size}")
-    mean = float(x.mean())
+    # a NaN or infinite sample makes the mean non-finite, and so does a
+    # sum that overflows; std of such samples would warn before failing
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = float(x.mean())
+    if not math.isfinite(mean):
+        raise ValueError(f"gaussian fit needs finite samples and mean, got mean {mean}")
     sigma = float(x.std(ddof=0))
     if sigma == 0.0:
         raise DegenerateDataError("samples have zero spread; no gaussian fit exists")

@@ -64,7 +64,8 @@ def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> TransformCoeffs:
 def apply(coeffs: TransformCoeffs, x, counter: OpCounter | None = None):
     """Evaluate the affine map; charges one multiply and one add per value."""
     arr = np.asarray(x, dtype=float)
-    out = coeffs.scale * arr + coeffs.offset
+    out = np.multiply(arr, coeffs.scale)
+    out += coeffs.offset
     if counter is not None:
         n = arr.size
         counter.multiplications += n
@@ -188,11 +189,7 @@ class VariateCache:
             if not block and not self._closed and self._count < count:
                 raise CacheEmpty(f"cache holds {self._count} of {count} requested")
             while got < count:
-                while self._count == 0 and not self._closed:
-                    self._cond.wait()
-                if self._count == 0 and self._closed:
-                    if self._error is not None:
-                        raise self._error
+                if not self._wait_for_values():
                     if got == 0:
                         raise CacheClosed("cache is closed and drained")
                     break
@@ -211,7 +208,40 @@ class VariateCache:
         return np.concatenate(parts) if len(parts) != 1 else np.array(parts[0])
 
     def get(self, block: bool = True) -> float:
-        return float(self.get_many(1, block=block)[0])
+        """Pop one variate: ``float(get_many(1, block)[0])``, without the arrays.
+
+        The accelerator is read one variate at a time, so this pops the
+        float under the lock instead of building and copying a view.
+        """
+        with self._cond:
+            if self._count == 0:
+                if not block and not self._closed:
+                    raise CacheEmpty("cache holds 0 of 1 requested")
+                if not self._wait_for_values():
+                    raise CacheClosed("cache is closed and drained")
+            chunk = self._chunks[0]
+            value = float(chunk[self._head])
+            self._head += 1
+            if self._head == chunk.size:
+                self._chunks.popleft()
+                self._head = 0
+            self._count -= 1
+            self.total_consumed += 1
+            self._cond.notify_all()
+        return value
+
+    def _wait_for_values(self) -> bool:
+        """With the lock held, wait for a variate; False once closed and drained.
+
+        When production failed, its error is raised instead of returning False.
+        """
+        while self._count == 0 and not self._closed:
+            self._cond.wait()
+        if self._count == 0:
+            if self._error is not None:
+                raise self._error
+            return False
+        return True
 
     def close(self, error: BaseException | None = None) -> None:
         """End production; blocked readers wake and drain what remains.

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,19 @@ def test_gaussian_pdf_normalizes():
     x = np.linspace(spec.mean - 10 * spec.sigma, spec.mean + 10 * spec.sigma, 200_001)
     area = np.trapezoid(gaussian_pdf(x, spec), x)
     assert abs(area - 1.0) < 1e-9
+
+
+def test_gaussian_pdf_far_tail_is_zero_without_warning():
+    # (x - mean) / sigma beyond ~1.34e154 squares to inf; the density is
+    # still exactly 0.0, and no overflow warning escapes
+    spec = GaussianSpec(2.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_pdf(1e154, spec) == 0.0
+        assert gaussian_pdf(-1e300, spec) == 0.0
+        out = gaussian_pdf(np.array([2.0, 1e200, -math.inf, math.inf, 1e154]), spec)
+    assert out[0] == 1.0 / (0.5 * math.sqrt(2.0 * math.pi))
+    np.testing.assert_array_equal(out[1:], 0.0)
 
 
 def test_gaussian_cdf_values():

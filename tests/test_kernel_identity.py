@@ -1,18 +1,31 @@
-"""Bit-identity of the acquisition kernels against their expression forms.
+"""Bit-identity of the in-place kernels against their expression forms.
 
-The polar sampler, ``AdcModel.quantize``/``value`` and
-``dequantize_with_jitter`` work in place on buffers they own. The
-functions below spell out the same IEEE operations as plain numpy
-expressions, one temporary per step, and serve as the reference: every
-output bit, every ``OpCounter`` charge and every ``draws_taken`` of the
-library kernels must equal theirs.
+The polar sampler, ``AdcModel.quantize``/``value``,
+``dequantize_with_jitter``, ``gaussian_pdf``, ``mc_integrate``,
+``inverse_cdf``, ``apply`` and ``histogram`` work in place on buffers
+they own. The functions below spell out the same IEEE operations as
+plain numpy expressions, one temporary per step, and serve as the
+reference: every output bit, every ``OpCounter`` charge and every
+``draws_taken`` of the library kernels must equal theirs. The
+``tracemalloc`` checks at the end bound how many n-sized buffers the
+scoring kernels allocate.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prva.distributions import GaussianSpec
-from prva.samplers import SeededStream, reference_gaussian_sample
+from prva.distributions import (
+    ExponentialSpec,
+    GaussianSpec,
+    UniformSpec,
+    gaussian_pdf,
+    inverse_cdf,
+)
+from prva.montecarlo import mc_integrate
+from prva.samplers import SeededStream, inversion_sample, reference_gaussian_sample
 from prva.sensor import (
     AdcModel,
     default_adc,
@@ -20,6 +33,8 @@ from prva.sensor import (
     dequantize_with_jitter,
     generate_trace,
 )
+from prva.stats import histogram
+from prva.transform import apply, make_coeffs
 
 SPEC = GaussianSpec(980.794, 7.178)
 SIZES = (None, 1, 2, 3, 17, 100, 10**5, 10**6)
@@ -93,13 +108,15 @@ def dequantize_expression(trace, stream):
 
 
 def assert_identical(got, want):
+    # equal bytes is the check; equal values (NaN equal to NaN) makes a
+    # failure readable
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
         assert got.tobytes() == want.tobytes()
     else:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -186,3 +203,191 @@ def test_generate_trace_codes_match_expression_form(n):
     raw = polar_expression(want_stream, GaussianSpec(mean, sigma), n)
     assert_identical(trace.codes, quantize_expression(adc, raw))
     assert_same_streams(got_stream, want_stream)
+
+
+# --- the scoring kernels: gaussian_pdf, mc_integrate, inverse_cdf, apply,
+# histogram ---------------------------------------------------------------
+
+STANDARD = GaussianSpec(0.0, 1.0)
+
+
+def gaussian_pdf_expression(x, spec):
+    # squaring a |z| beyond ~1.9e154 overflows to -inf and exp gives 0.0
+    with np.errstate(over="ignore"):
+        z = (np.asarray(x, dtype=float) - spec.mean) / spec.sigma
+        out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
+    return out if out.ndim else float(out)
+
+
+def mc_integrate_area_expression(samples, target):
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    f = gaussian_pdf_expression(x, target)
+    return float(np.sum((x[1:] - x[:-1]) * (f[1:] + f[:-1])) * 0.5)
+
+
+def inverse_cdf_expression(p, spec):
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0) or np.any(np.isnan(p_arr)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if isinstance(spec, UniformSpec):
+        out = spec.lo + p_arr * spec.width
+    else:
+        with np.errstate(divide="ignore"):
+            out = -np.log1p(-p_arr) / spec.rate
+    return out if out.ndim else float(out)
+
+
+def apply_expression(coeffs, x):
+    out = coeffs.scale * np.asarray(x, dtype=float) + coeffs.offset
+    return out if out.ndim else float(out)
+
+
+def histogram_counts_expression(samples, bins, lo, hi):
+    x = np.asarray(samples, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        idx = np.floor((x - lo) * (bins / (hi - lo)))
+    idx = np.clip(idx, 0, bins - 1, out=idx).astype(np.int64)
+    return np.bincount(idx, minlength=bins)
+
+
+def scoring_inputs(seed, size):
+    """Named samples of ``size`` (a float for None) scored against N(0, 1).
+
+    ``gaussian`` is the polar baseline; ``uniform_1000`` spans ±1000 sigma,
+    so the density underflows to 0 over most of it; ``duplicates`` is
+    rounded to 0.25 so sorted neighbours repeat and trapezoids have zero
+    width; ``huge`` has |z| > 1e154, whose square overflows; ``subnormal``
+    has subnormal z.
+    """
+    g = reference_gaussian_sample(SeededStream(seed), STANDARD, size)
+    u = inversion_sample(SeededStream(seed + 1), UniformSpec(-1000.0, 1000.0), size)
+    return {
+        "gaussian": g,
+        "uniform_1000": u,
+        "duplicates": np.round(np.asarray(g) * 4.0) / 4.0 if size else round(g * 4.0) / 4.0,
+        "huge": g * 3e154,
+        "subnormal": g * 1e-310,
+    }
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_gaussian_pdf_matches_expression_form(seed, size):
+    for x in scoring_inputs(seed, size).values():
+        for spec in (STANDARD, GaussianSpec(-0.3, 0.01), SPEC):
+            assert_identical(gaussian_pdf(x, spec), gaussian_pdf_expression(x, spec))
+
+
+def test_gaussian_pdf_matches_expression_form_at_the_edges():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.3e154, -1.4e154, 1.9e154, 1e308, math.inf, -math.inf, math.nan]
+    for x in (np.array(edges), np.array(edges).reshape(1, 11), np.array([]), 5e-324, math.inf, math.nan):
+        assert_identical(gaussian_pdf(x, STANDARD), gaussian_pdf_expression(x, STANDARD))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_mc_integrate_matches_expression_form(seed, size):
+    if size is None or size < 2:
+        for x in scoring_inputs(seed, size).values():
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                mc_integrate(x, STANDARD)
+        return
+    for x in scoring_inputs(seed, size).values():
+        for spec in (STANDARD, SPEC):
+            got = mc_integrate(x, spec)
+            want = mc_integrate_area_expression(x, spec)
+            assert_identical(got.area, want)
+            assert_identical(got.error, abs(1.0 - want))
+            assert got.n == size
+    # a 2-D input is flattened, and an input already sorted is not modified
+    x = scoring_inputs(seed, size)["duplicates"]
+    ordered = np.sort(x)
+    before = ordered.copy()
+    assert_identical(mc_integrate(ordered, STANDARD).area, mc_integrate_area_expression(x, STANDARD))
+    assert ordered.tobytes() == before.tobytes()
+    if size % 2 == 0:
+        flat = mc_integrate(x, STANDARD).area
+        assert_identical(mc_integrate(x.reshape(2, -1), STANDARD).area, flat)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_inverse_cdf_matches_expression_form(seed, size):
+    p = SeededStream(seed).uniforms(size)
+    for spec in (UniformSpec(-3.0, 3.0), UniformSpec(1e-3, 7e5), ExponentialSpec(0.7), ExponentialSpec(1e300)):
+        assert_identical(inverse_cdf(p, spec), inverse_cdf_expression(p, spec))
+    edges = np.array([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5, -0.0])
+    for q in (edges, edges.reshape(2, 3), np.array([]), 0.0, 1.0, 5e-324):
+        for spec in (UniformSpec(-3.0, 3.0), ExponentialSpec(2.0)):
+            assert_identical(inverse_cdf(q, spec), inverse_cdf_expression(q, spec))
+
+
+@pytest.mark.parametrize("bad", [[0.5, -1e-300], [1.0 + 2**-52, 0.5], [0.5, math.nan], math.nan, -0.1, [math.inf]])
+def test_inverse_cdf_rejects_what_the_expression_form_rejects(bad):
+    for spec in (UniformSpec(-3.0, 3.0), ExponentialSpec(2.0)):
+        with pytest.raises(ValueError, match="must lie in"):
+            inverse_cdf_expression(bad, spec)
+        with pytest.raises(ValueError, match="must lie in"):
+            inverse_cdf(bad, spec)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_apply_matches_expression_form(seed, size):
+    coeffs = (
+        make_coeffs(STANDARD, GaussianSpec(5.0, 2.0)),
+        make_coeffs(SPEC, STANDARD),
+        make_coeffs(STANDARD, GaussianSpec(-1e-300, 1e-300)),
+    )
+    for x in scoring_inputs(seed, size).values():
+        for c in coeffs:
+            assert_identical(apply(c, x), apply_expression(c, x))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_histogram_matches_expression_form(seed, size):
+    for x in scoring_inputs(seed, size).values():
+        for bins, lo, hi in ((256, -4.0, 4.0), (7, -1e-300, 3e-300), (4096, -1000.0, 999.0)):
+            h = histogram(x, bins, (lo, hi))
+            assert_identical(h.counts, histogram_counts_expression(x, bins, lo, hi))
+            assert_identical(h.edges, np.linspace(lo, hi, bins + 1))
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# allocations other than the n-sized buffers: Python objects and numpy
+# scratch, a few kB in practice
+SLACK = 64 * 1024
+
+
+def test_gaussian_pdf_allocates_only_its_output():
+    n = 10**5
+    x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
+    # 1 buffer (the returned density); the expression form takes 3
+    assert traced_peak_bytes(gaussian_pdf, x, STANDARD) <= 1 * 8 * n + SLACK
+
+
+def test_mc_integrate_allocates_two_buffers():
+    n = 10**5
+    x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
+    # 2 buffers (sorted copy, density); the expression form takes 4
+    assert traced_peak_bytes(mc_integrate, x, STANDARD) <= 2 * 8 * n + SLACK
+
+
+def test_polar_sampler_temporaries_do_not_grow_with_n():
+    n = 10**6
+    pairs = first_round_pairs(n)
+    # 2 n-sized buffers (the draw of 2 * pairs uniforms and the output)
+    # plus blocked temporaries of a fixed size; unblocked, the kept-pair
+    # temporaries add about 2.7 more n-sized buffers
+    peak = traced_peak_bytes(reference_gaussian_sample, SeededStream(1), STANDARD, n)
+    assert peak <= 8 * n + 8 * 2 * pairs + 2 * 1024 * 1024

@@ -56,6 +56,19 @@ def test_integrate_needs_two_samples():
         mc_integrate([1.0], GaussianSpec(0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_integrate_rejects_non_finite_samples(bad, where):
+    # a NaN used to surface as "error must equal |1 - area|" and an
+    # infinity as a silent area of inf
+    x = [0.5, -1.0, 2.0, 0.0, 1.5]
+    x[where] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        mc_integrate(x, GaussianSpec(0.0, 1.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        mc_integrate(np.array([bad, bad]), GaussianSpec(0.0, 1.0))
+
+
 def test_result_rejects_inconsistent_error():
     with pytest.raises(ValueError):
         IntegrationResult(area=0.9, error=0.2, n=2)

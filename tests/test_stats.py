@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ def test_fit_gaussian_errors():
         fit_gaussian([1.0])
     with pytest.raises(DegenerateDataError):
         fit_gaussian([3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[0.0, math.inf], [math.inf, -math.inf], [-math.inf, 1.0, 2.0], [0.0, math.nan], [1e308, 1e308]],
+)
+def test_fit_gaussian_rejects_non_finite_samples_without_warning(samples):
+    # numpy used to warn ("invalid value encountered in subtract") before
+    # the ValueError, and under warnings-as-errors the caller got the warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit_gaussian(samples)
 
 
 def test_fit_binned_matches_center_mapped_fit():

@@ -191,6 +191,80 @@ def test_cache_nonblocking_empty():
         cache.get(block=False)
 
 
+def test_cache_scalar_get_matches_get_many_across_chunks():
+    values = SeededStream(3).uniforms(50)
+    pieces = (values[:7], values[7:8], values[8:30], values[30:])
+    a, b = (VariateCache(64, GaussianSpec(0.0, 1.0)) for _ in range(2))
+    for cache in (a, b):
+        for piece in pieces:
+            cache.put_many(piece)
+    got = []
+    for i in range(50):
+        # mix scalar reads with batched ones on the same cache
+        got.append(a.get(block=i % 2 == 0) if i % 5 else float(a.get_many(1)[0]))
+    assert all(type(v) is float for v in got)
+    assert got == [float(v) for v in b.get_many(50)] == values.tolist()
+    assert a.occupancy == 0 and a.total_consumed == 50
+
+
+def test_cache_scalar_get_empty_and_closed():
+    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
+    with pytest.raises(CacheEmpty, match="holds 0 of 1"):
+        cache.get(block=False)
+    cache.put(4.0)
+    assert cache.get(block=False) == 4.0
+    cache.put(5.0)
+    cache.close()
+    assert cache.get(block=False) == 5.0
+    for block in (True, False):
+        with pytest.raises(CacheClosed, match="closed and drained"):
+            cache.get(block=block)
+    assert cache.total_consumed == 2
+
+
+def test_cache_scalar_get_waits_for_the_producer():
+    cache = VariateCache(4, GaussianSpec(0.0, 1.0))
+    got = []
+
+    def consume():
+        got.extend(cache.get() for _ in range(10))
+
+    reader = threading.Thread(target=consume, daemon=True)
+    reader.start()
+    cache.put_many(np.arange(10.0))
+    reader.join(timeout=5.0)
+    assert not reader.is_alive(), "scalar get did not wake for the producer"
+    assert got == list(range(10))
+
+
+def test_cache_scalar_get_raises_the_producer_error():
+    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
+    cache.put_many(np.array([1.0, 2.0]))
+    cache.close(RuntimeError("sensor fault"))
+    # values produced before the failure are still delivered
+    assert [cache.get(), cache.get(block=False)] == [1.0, 2.0]
+    for block in (True, False):
+        with pytest.raises(RuntimeError, match="sensor fault"):
+            cache.get(block=block)
+    # a reader blocked on an empty cache wakes to the error
+    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
+    raised = []
+
+    def consume():
+        try:
+            cache.get()
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=consume, daemon=True)
+    reader.start()
+    time.sleep(0.05)
+    cache.close(RuntimeError("sensor fault"))
+    reader.join(timeout=5.0)
+    assert not reader.is_alive()
+    assert len(raised) == 1 and "sensor fault" in str(raised[0])
+
+
 def test_cache_nonblocking_short_read_keeps_values():
     cache = VariateCache(8, GaussianSpec(0.0, 1.0))
     cache.put_many(np.array([1.0, 2.0, 3.0]))
