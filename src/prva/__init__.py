@@ -59,7 +59,6 @@ from .stats import (
 )
 from .transform import (
     CacheClosed,
-    CacheEmpty,
     TransformCoeffs,
     VariateCache,
     apply,
@@ -80,7 +79,6 @@ __all__ = [
     "AdcModel",
     "BenchmarkReport",
     "CacheClosed",
-    "CacheEmpty",
     "CalibrationGrid",
     "DisjointSupportError",
     "EnvelopeError",

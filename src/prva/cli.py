@@ -43,6 +43,9 @@ from .stats import (
 from .transform import VariateCache, compensate, fill_cache, make_coeffs
 from .montecarlo import run_benchmark
 
+# room in the FIFO between the transform's producer and its drain
+_CACHE_CAPACITY = 65_536
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -132,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fit source parameters from the trace instead of the grid",
     )
-    p.add_argument("--cache-capacity", type=_positive_int, default=65_536)
     p.add_argument("--out", default=None, help="write variates here, one per line")
     _add_seed(p)
 
@@ -254,12 +256,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
             grid, args.temp, args.volt, bits=args.bits, span_sigmas=args.span_sigmas
         )
         trace = generate_trace(stream, grid, args.temp, args.volt, adc, args.n)
-    values = compensate(
-        trace, grid, stream=stream, self_calibrate=args.self_calibrate
-    )
+    values = compensate(trace, None if args.self_calibrate else grid, stream=stream)
     target = GaussianSpec(args.target_mean, args.target_sigma)
     coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-    cache = VariateCache(min(args.cache_capacity, values.size), target)
+    cache = VariateCache(min(_CACHE_CAPACITY, values.size), target)
     fill_cache(cache, values, coeffs, counter=stream.counter, background=True)
     out = cache.get_many(values.size)
     fit = fit_gaussian(out)

@@ -99,12 +99,6 @@ def gaussian_cdf(x, spec: GaussianSpec):
     return out if out.ndim else float(out)
 
 
-def uniform_pdf(x, spec: UniformSpec):
-    x = np.asarray(x, dtype=float)
-    out = np.where((x >= spec.lo) & (x <= spec.hi), 1.0 / spec.width, 0.0)
-    return out if out.ndim else float(out)
-
-
 def uniform_cdf(x, spec: UniformSpec):
     x = np.asarray(x, dtype=float)
     out = np.clip((x - spec.lo) / spec.width, 0.0, 1.0)

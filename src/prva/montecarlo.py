@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -74,7 +74,8 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     adjacent pairs contribute (x[i] - x[i-1]) * (f[i] + f[i-1]) / 2.
     The result's ``error`` is exactly |1 - area|; density mass outside
     [min(samples), max(samples)] is invisible to the rule and shows up
-    as error. A NaN or infinite sample raises ValueError.
+    as error. A NaN or infinite sample, or a span wider than float64
+    can represent, raises ValueError.
 
     Only the sorted copy and the density are allocated. The differences
     overwrite the sorted copy and the pairwise sums the density, each
@@ -86,9 +87,15 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     if x.size < 2:
         raise ValueError(f"integration needs at least 2 samples, got {x.size}")
     x = np.sort(x)
+    lo, hi = float(x[0]), float(x[-1])
     # sorted, so -inf is first and +inf, then NaN, last
-    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration samples must be finite")
+    # every trapezoid width is at most the span, so one check covers them all
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"integration samples span [{lo!r}, {hi!r}], wider than a float64 holds"
+        )
     f = gaussian_pdf(x, target)
     width = np.subtract(x[1:], x[:-1], out=x[:-1])
     width *= np.add(f[1:], f[:-1], out=f[:-1])
@@ -149,19 +156,6 @@ class SourceResult:
     time_ci90: tuple | None
     ops: OpCounter
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "kind": self.kind,
-            "n": self.n,
-            "repetitions": self.repetitions,
-            "mean_error": self.mean_error,
-            "error_ci90": list(self.error_ci90) if self.error_ci90 else None,
-            "mean_time_s": self.mean_time_s,
-            "time_ci90": list(self.time_ci90) if self.time_ci90 else None,
-            "ops": self.ops.as_dict(),
-        }
-
 
 _CSV_COLUMNS = (
     "source",
@@ -174,13 +168,7 @@ _CSV_COLUMNS = (
     "mean_time_s",
     "time_ci_lo",
     "time_ci_hi",
-    "multiplications",
-    "additions",
-    "divisions",
-    "comparisons",
-    "transcendental_evals",
-    "uniform_draws",
-    "rejections",
+    *(f.name for f in fields(OpCounter)),
 )
 
 
@@ -201,42 +189,28 @@ class BenchmarkReport:
     seed: int
     sources: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "target": {"mean": self.target.mean, "sigma": self.target.sigma},
-            "n": self.n,
-            "repetitions": self.repetitions,
-            "threads": self.threads,
-            "seed": self.seed,
-            "sources": [s.to_dict() for s in self.sources],
-        }
-
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS)
+            # csv writes a float as its repr and None as an empty cell
             for s in self.sources:
-                e_lo, e_hi = s.error_ci90 if s.error_ci90 else (None, None)
-                t_lo, t_hi = s.time_ci90 if s.time_ci90 else (None, None)
-                ops = s.ops.as_dict()
                 writer.writerow(
                     [
                         s.source,
                         s.kind,
                         s.n,
                         s.repetitions,
-                        repr(s.mean_error),
-                        "" if e_lo is None else repr(e_lo),
-                        "" if e_hi is None else repr(e_hi),
-                        repr(s.mean_time_s),
-                        "" if t_lo is None else repr(t_lo),
-                        "" if t_hi is None else repr(t_hi),
-                        *[ops[k] for k in _CSV_COLUMNS[10:]],
+                        s.mean_error,
+                        *(s.error_ci90 or (None, None)),
+                        s.mean_time_s,
+                        *(s.time_ci90 or (None, None)),
+                        *astuple(s.ops),
                     ]
                 )
 
@@ -317,7 +291,7 @@ def run_benchmark(
             try:
                 values = compensate(trace, grid, stream=stream)
             except GridRangeError:
-                values = compensate(trace, stream=stream, self_calibrate=True)
+                values = compensate(trace, None, stream=stream)
             cache = VariateCache(n, target)
             coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
             fill_cache(cache, values[:n], coeffs, counter=counter)

@@ -137,7 +137,10 @@ def fit_gaussian(samples) -> FitResult:
         mean = float(x.mean())
     if not math.isfinite(mean):
         raise ValueError(f"gaussian fit needs finite samples and mean, got mean {mean}")
-    sigma = float(x.std(ddof=0))
+    # finite samples whose deviations overflow when squared give inf,
+    # which FitResult rejects
+    with np.errstate(over="ignore"):
+        sigma = float(x.std(ddof=0))
     if sigma == 0.0:
         raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
     return FitResult(mean=mean, sigma=sigma, n=int(x.size))

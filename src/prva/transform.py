@@ -25,10 +25,6 @@ from .sensor import CalibrationGrid, SampleTrace, dequantize_with_jitter
 from .stats import fit_gaussian
 
 
-class CacheEmpty(Exception):
-    """Non-blocking read asking for more than an open cache holds."""
-
-
 class CacheClosed(Exception):
     """Read from a cache that is closed and fully drained."""
 
@@ -74,32 +70,26 @@ def apply(coeffs: TransformCoeffs, x, counter: OpCounter | None = None):
 
 
 def compensate(
-    trace: SampleTrace,
-    grid: CalibrationGrid | None = None,
-    *,
-    stream: SeededStream,
-    self_calibrate: bool = False,
+    trace: SampleTrace, grid: CalibrationGrid | None, *, stream: SeededStream
 ) -> np.ndarray:
     """Standardize a trace: dequantize, then map its Gaussian onto N(0, 1).
 
     The source parameters are taken from the calibration grid at the
     trace's recorded operating point, which is what removes temperature
     and supply drift: two traces captured at different (T, V) standardize
-    to the same distribution. With ``self_calibrate=True`` the source
-    parameters are instead fit from the dequantized samples themselves,
-    allowing grid-free operation at the price of estimation error.
+    to the same distribution. With ``grid=None`` the source parameters
+    are instead fit from the dequantized samples themselves, allowing
+    grid-free operation at the price of estimation error.
 
     Jitter uniforms are drawn from ``stream`` and all arithmetic is
     charged to its counter. The grid is consulted before any jitter is
     drawn, so an off-grid trace raises GridRangeError with the stream
     untouched.
     """
-    if not self_calibrate:
-        if grid is None:
-            raise ValueError("compensate needs a calibration grid or self_calibrate=True")
+    if grid is not None:
         src = GaussianSpec(*grid.noise_params(trace.temperature_c, trace.voltage_v))
     values = dequantize_with_jitter(trace, stream)
-    if self_calibrate:
+    if grid is None:
         fit = fit_gaussian(values)
         src = GaussianSpec(fit.mean, fit.sigma)
     coeffs = make_coeffs(src, GaussianSpec(0.0, 1.0))
@@ -166,19 +156,13 @@ class VariateCache:
                 self._cond.notify_all()
             offset += take
 
-    def put(self, value: float) -> None:
-        self.put_many(np.asarray([value], dtype=float))
-
-    def get_many(self, count: int, block: bool = True) -> np.ndarray:
+    def get_many(self, count: int) -> np.ndarray:
         """Pop up to ``count`` variates in FIFO order.
 
         Blocks until ``count`` are available (or production closes, in
         which case whatever remains is returned — possibly fewer — unless
-        production failed, which re-raises the producer's exception). With
-        ``block=False`` an open cache holding fewer than ``count`` raises
-        CacheEmpty instead of waiting, and pops nothing: the values stay
-        buffered for a later read. A closed, fully drained cache raises
-        CacheClosed.
+        production failed, which re-raises the producer's exception). A
+        closed, fully drained cache raises CacheClosed.
         """
         count = int(count)
         if count < 1:
@@ -186,8 +170,6 @@ class VariateCache:
         parts = []
         got = 0
         with self._cond:
-            if not block and not self._closed and self._count < count:
-                raise CacheEmpty(f"cache holds {self._count} of {count} requested")
             while got < count:
                 if not self._wait_for_values():
                     if got == 0:
@@ -207,18 +189,15 @@ class VariateCache:
                 self._cond.notify_all()
         return np.concatenate(parts) if len(parts) != 1 else np.array(parts[0])
 
-    def get(self, block: bool = True) -> float:
-        """Pop one variate: ``float(get_many(1, block)[0])``, without the arrays.
+    def get(self) -> float:
+        """Pop one variate: ``float(get_many(1)[0])``, without the arrays.
 
         The accelerator is read one variate at a time, so this pops the
         float under the lock instead of building and copying a view.
         """
         with self._cond:
-            if self._count == 0:
-                if not block and not self._closed:
-                    raise CacheEmpty("cache holds 0 of 1 requested")
-                if not self._wait_for_values():
-                    raise CacheClosed("cache is closed and drained")
+            if self._count == 0 and not self._wait_for_values():
+                raise CacheClosed("cache is closed and drained")
             chunk = self._chunks[0]
             value = float(chunk[self._head])
             self._head += 1

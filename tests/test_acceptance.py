@@ -11,6 +11,7 @@ and brute-force oracles — each with a wall-clock budget.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ def test_criterion_7_determinism(acceptance):
     sources = ("uniform:5", "gaussian", "prva")
     d1, d2, d4 = (
         _strip_timing(
-            run_benchmark(sources, SENSOR, 5_000, 4, threads=t, seed=7).to_dict()
+            asdict(run_benchmark(sources, SENSOR, 5_000, 4, threads=t, seed=7))
         )
         for t in (1, 1, 4)
     )

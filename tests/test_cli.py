@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -156,6 +157,38 @@ def test_transform_stdout_ignores_thread_scheduling(capsys, monkeypatch):
         m.setattr(cli, "fill_cache", fill_then_join)
         _, slow_consumer, _ = run_cli(capsys, *argv)
     assert slow_producer == slow_consumer
+
+
+def test_transform_cache_capacity_is_fixed(capsys):
+    code, out, _ = run_cli(
+        capsys, "transform", "--n", "70000", "--target-mean", "0", "--target-sigma", "1"
+    )
+    assert code == 0
+    assert "cache capacity=65536 produced=70000 consumed=70000" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--target-mean", "0", "--target-sigma", "1",
+              "--cache-capacity", "5"])
+    assert exc.value.code == 2
+
+
+def test_transform_self_calibrate_needs_no_grid(capsys, tmp_path):
+    # a trace captured outside the calibration grid standardizes only
+    # against its own fit
+    code, _, _ = run_cli(
+        capsys, "generate", "--n", "20000", "--out", str(tmp_path / "t.txt")
+    )
+    assert code == 0
+    hot = dataclasses.replace(load_trace(tmp_path / "t.txt"), temperature_c=55.0)
+    store_trace(hot, tmp_path / "hot.txt")
+    argv = ("transform", "--trace", str(tmp_path / "hot.txt"),
+            "--target-mean", "5", "--target-sigma", "2")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "error:" in err
+    code, out, _ = run_cli(capsys, *argv, "--self-calibrate")
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    assert abs(float(fields["fit_mean"]) - 5.0) < 1e-9
+    assert abs(float(fields["fit_sigma"]) - 2.0) < 1e-9
 
 
 def test_transform_requires_target(capsys):

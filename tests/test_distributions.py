@@ -19,7 +19,6 @@ from prva.distributions import (
     gaussian_pdf,
     inverse_cdf,
     uniform_cdf,
-    uniform_pdf,
 )
 
 
@@ -86,11 +85,8 @@ def test_gaussian_cdf_values():
     assert math.isclose(tail, 7.61985302416053e-24, rel_tol=1e-10)
 
 
-def test_uniform_pdf_and_cdf():
+def test_uniform_cdf():
     spec = UniformSpec(2.0, 6.0)
-    assert uniform_pdf(3.0, spec) == 0.25
-    assert uniform_pdf(1.0, spec) == 0.0
-    assert uniform_pdf(7.0, spec) == 0.0
     assert uniform_cdf(2.0, spec) == 0.0
     assert uniform_cdf(6.0, spec) == 1.0
     assert uniform_cdf(4.0, spec) == 0.5

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import time
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,6 +71,22 @@ def test_integrate_rejects_non_finite_samples(bad, where):
         mc_integrate(np.array([bad, bad]), GaussianSpec(0.0, 1.0))
 
 
+@pytest.mark.parametrize("x", [[-1.7e308, 1.7e308], [1.7e308, 0.0, -1.7e308, 1.0]])
+def test_integrate_rejects_span_that_overflows(x):
+    # finite samples whose span overflows used to make an infinite width,
+    # warn "overflow encountered in subtract" and then fail with the
+    # misleading "error must equal |1 - area|"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"span \[-1\.7e\+308, 1\.7e\+308\]"):
+            mc_integrate(x, GaussianSpec(0.0, 1.0))
+
+
+def test_integrate_accepts_the_widest_finite_span():
+    r = mc_integrate([-8e307, 8e307], GaussianSpec(0.0, 1.0))
+    assert r.area == 0.0 and r.error == 1.0
+
+
 def test_result_rejects_inconsistent_error():
     with pytest.raises(ValueError):
         IntegrationResult(area=0.9, error=0.2, n=2)
@@ -106,14 +124,14 @@ def test_benchmark_same_seed_same_numbers():
     sources = ("uniform:5", "gaussian", "prva")
     a = run_benchmark(sources, TARGET, 2_000, 3, seed=7)
     b = run_benchmark(sources, TARGET, 2_000, 3, seed=7)
-    assert _strip_timing(a.to_dict()) == _strip_timing(b.to_dict())
+    assert _strip_timing(asdict(a)) == _strip_timing(asdict(b))
 
 
 def test_benchmark_thread_count_does_not_change_results():
     sources = ("uniform:5", "gaussian", "prva")
     one = run_benchmark(sources, TARGET, 2_000, 4, seed=3, threads=1)
     four = run_benchmark(sources, TARGET, 2_000, 4, seed=3, threads=4)
-    d1, d4 = _strip_timing(one.to_dict()), _strip_timing(four.to_dict())
+    d1, d4 = _strip_timing(asdict(one)), _strip_timing(asdict(four))
     d1.pop("threads")
     d4.pop("threads")
     assert d1 == d4
@@ -242,6 +260,83 @@ def test_report_csv_shape(tmp_path):
     with p2.open() as fh:
         srows = list(csv.reader(fh))
     assert srows[1][5] == "" and srows[1][6] == ""  # no CI from one repetition
+
+
+def _hand_built_dict(report):
+    """The report dictionary written out field by field, as json.dump sees it."""
+    return {
+        "target": {"mean": report.target.mean, "sigma": report.target.sigma},
+        "n": report.n,
+        "repetitions": report.repetitions,
+        "threads": report.threads,
+        "seed": report.seed,
+        "sources": [
+            {
+                "source": s.source,
+                "kind": s.kind,
+                "n": s.n,
+                "repetitions": s.repetitions,
+                "mean_error": s.mean_error,
+                "error_ci90": list(s.error_ci90) if s.error_ci90 else None,
+                "mean_time_s": s.mean_time_s,
+                "time_ci90": list(s.time_ci90) if s.time_ci90 else None,
+                "ops": s.ops.as_dict(),
+            }
+            for s in report.sources
+        ],
+    }
+
+
+def _hand_built_csv(report, path):
+    """The report's CSV written cell by cell, floats as repr and absent CIs empty."""
+    ops = (
+        "multiplications",
+        "additions",
+        "divisions",
+        "comparisons",
+        "transcendental_evals",
+        "uniform_draws",
+        "rejections",
+    )
+    header = (
+        "source", "kind", "n", "repetitions", "mean_error", "error_ci_lo",
+        "error_ci_hi", "mean_time_s", "time_ci_lo", "time_ci_hi", *ops,
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for s in report.sources:
+            e_lo, e_hi = s.error_ci90 if s.error_ci90 else (None, None)
+            t_lo, t_hi = s.time_ci90 if s.time_ci90 else (None, None)
+            counts = s.ops.as_dict()
+            writer.writerow(
+                [
+                    s.source,
+                    s.kind,
+                    s.n,
+                    s.repetitions,
+                    repr(s.mean_error),
+                    "" if e_lo is None else repr(e_lo),
+                    "" if e_hi is None else repr(e_hi),
+                    repr(s.mean_time_s),
+                    "" if t_lo is None else repr(t_lo),
+                    "" if t_hi is None else repr(t_hi),
+                    *[counts[k] for k in ops],
+                ]
+            )
+
+
+@pytest.mark.parametrize("repetitions", [1, 3])
+def test_report_files_match_hand_built_serialization(tmp_path, repetitions):
+    # one repetition leaves every CI empty; several fill them
+    sources = ("uniform:4", "gaussian", "prva")
+    report = run_benchmark(sources, TARGET, 2_000, repetitions, seed=5, threads=2)
+    report.write_json(tmp_path / "r.json")
+    expect = json.dumps(_hand_built_dict(report), indent=2) + "\n"
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == expect
+    report.write_csv(tmp_path / "r.csv")
+    _hand_built_csv(report, tmp_path / "expect.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
 
 def test_summary_lines_have_no_wall_clock():

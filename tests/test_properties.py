@@ -22,7 +22,7 @@ from prva.sensor import (  # noqa: E402
     store_trace,
 )
 from prva.stats import histogram  # noqa: E402
-from prva.transform import CacheEmpty, TransformCoeffs, VariateCache, apply  # noqa: E402
+from prva.transform import TransformCoeffs, VariateCache, apply  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # converter and histogram geometries whose width is a normal float
@@ -69,7 +69,8 @@ def test_histogram_saturates_any_float(x, bins, lo, span):
     np.testing.assert_array_equal(counts, histogram(edged, bins, (lo, hi)).counts)
 
 
-# one step: ("put", k) appends k fresh values, ("get", k) reads k without blocking
+# one step: ("put", k) appends k fresh values, ("get", k) reads k; each is
+# clipped to what fits or what is buffered, so no step blocks
 steps = st.lists(
     st.tuples(st.sampled_from(("put", "get")), st.integers(1, 12)), max_size=60
 )
@@ -89,16 +90,17 @@ def test_cache_fifo_order_without_loss(capacity, script):
             cache.put_many(values)
             model.extend(values)
             produced += k
-        elif k > len(model):
-            with pytest.raises(CacheEmpty):
-                cache.get_many(k, block=False)
         else:
+            k = min(k, len(model))
+            if k == 0:
+                continue
             expect = [model.popleft() for _ in range(k)]
-            assert cache.get_many(k, block=False).tolist() == expect
+            assert cache.get_many(k).tolist() == expect
         assert cache.occupancy == len(model)
     cache.close()
     if model:
-        assert cache.get_many(len(model) + 1, block=False).tolist() == list(model)
+        # a closed cache returns what is left to a longer read
+        assert cache.get_many(len(model) + 1).tolist() == list(model)
     assert cache.total_produced == produced
     assert cache.total_consumed == produced
 

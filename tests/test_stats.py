@@ -99,11 +99,20 @@ def test_fit_gaussian_errors():
 
 @pytest.mark.parametrize(
     "samples",
-    [[0.0, math.inf], [math.inf, -math.inf], [-math.inf, 1.0, 2.0], [0.0, math.nan], [1e308, 1e308]],
+    [
+        [0.0, math.inf],
+        [math.inf, -math.inf],
+        [-math.inf, 1.0, 2.0],
+        [0.0, math.nan],
+        [1e308, 1e308],
+        [1e200, -1e200],
+    ],
 )
 def test_fit_gaussian_rejects_non_finite_samples_without_warning(samples):
-    # numpy used to warn ("invalid value encountered in subtract") before
-    # the ValueError, and under warnings-as-errors the caller got the warning
+    # numpy used to warn ("invalid value encountered in subtract", or
+    # "overflow encountered in square" from the spread of finite samples)
+    # before the ValueError, and under warnings-as-errors the caller got
+    # the warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):

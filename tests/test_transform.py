@@ -18,7 +18,6 @@ from prva.sensor import (
 from prva.stats import fit_gaussian
 from prva.transform import (
     CacheClosed,
-    CacheEmpty,
     CoeffsMismatchError,
     TransformCoeffs,
     VariateCache,
@@ -93,7 +92,8 @@ def test_compensate_requires_grid_or_self_calibration():
     adc = default_adc(grid)
     stream = SeededStream(1)
     trace = generate_trace(stream, grid, 10.0, 2.6, adc, 1_000)
-    with pytest.raises(ValueError):
+    # the grid is a required argument: self-calibration is an explicit None
+    with pytest.raises(TypeError, match="grid"):
         compensate(trace, stream=stream)
 
 
@@ -113,7 +113,7 @@ def test_compensate_self_calibration_centers_exactly():
     adc = default_adc(grid)
     stream = SeededStream(9)
     trace = generate_trace(stream, grid, 10.0, 2.6, adc, 20_000)
-    out = compensate(trace, stream=stream, self_calibrate=True)
+    out = compensate(trace, None, stream=stream)
     # standardizing against the sample's own fit nails the moments
     assert abs(out.mean()) < 1e-12
     assert abs(out.std() - 1.0) < 1e-12
@@ -177,18 +177,12 @@ def test_retarget_distribution_through_cache():
 def test_cache_fifo_order_and_counters():
     cache = VariateCache(64, GaussianSpec(0.0, 1.0))
     cache.put_many(np.arange(10.0))
-    cache.put(10.0)
+    cache.put_many([10.0])
     got = [cache.get() for _ in range(11)]
     assert got == list(range(11))
     assert cache.total_produced == 11
     assert cache.total_consumed == 11
     assert cache.occupancy == 0
-
-
-def test_cache_nonblocking_empty():
-    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
-    with pytest.raises(CacheEmpty):
-        cache.get(block=False)
 
 
 def test_cache_scalar_get_matches_get_many_across_chunks():
@@ -201,7 +195,7 @@ def test_cache_scalar_get_matches_get_many_across_chunks():
     got = []
     for i in range(50):
         # mix scalar reads with batched ones on the same cache
-        got.append(a.get(block=i % 2 == 0) if i % 5 else float(a.get_many(1)[0]))
+        got.append(a.get() if i % 5 else float(a.get_many(1)[0]))
     assert all(type(v) is float for v in got)
     assert got == [float(v) for v in b.get_many(50)] == values.tolist()
     assert a.occupancy == 0 and a.total_consumed == 50
@@ -209,16 +203,13 @@ def test_cache_scalar_get_matches_get_many_across_chunks():
 
 def test_cache_scalar_get_empty_and_closed():
     cache = VariateCache(8, GaussianSpec(0.0, 1.0))
-    with pytest.raises(CacheEmpty, match="holds 0 of 1"):
-        cache.get(block=False)
-    cache.put(4.0)
-    assert cache.get(block=False) == 4.0
-    cache.put(5.0)
+    cache.put_many([4.0])
+    assert cache.get() == 4.0
+    cache.put_many([5.0])
     cache.close()
-    assert cache.get(block=False) == 5.0
-    for block in (True, False):
-        with pytest.raises(CacheClosed, match="closed and drained"):
-            cache.get(block=block)
+    assert cache.get() == 5.0
+    with pytest.raises(CacheClosed, match="closed and drained"):
+        cache.get()
     assert cache.total_consumed == 2
 
 
@@ -242,10 +233,9 @@ def test_cache_scalar_get_raises_the_producer_error():
     cache.put_many(np.array([1.0, 2.0]))
     cache.close(RuntimeError("sensor fault"))
     # values produced before the failure are still delivered
-    assert [cache.get(), cache.get(block=False)] == [1.0, 2.0]
-    for block in (True, False):
-        with pytest.raises(RuntimeError, match="sensor fault"):
-            cache.get(block=block)
+    assert [cache.get(), cache.get()] == [1.0, 2.0]
+    with pytest.raises(RuntimeError, match="sensor fault"):
+        cache.get()
     # a reader blocked on an empty cache wakes to the error
     cache = VariateCache(8, GaussianSpec(0.0, 1.0))
     raised = []
@@ -265,20 +255,6 @@ def test_cache_scalar_get_raises_the_producer_error():
     assert len(raised) == 1 and "sensor fault" in str(raised[0])
 
 
-def test_cache_nonblocking_short_read_keeps_values():
-    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
-    cache.put_many(np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(CacheEmpty):
-        cache.get_many(5, block=False)
-    assert cache.occupancy == 3
-    assert cache.total_consumed == 0
-    np.testing.assert_array_equal(cache.get_many(3, block=False), [1.0, 2.0, 3.0])
-    # once production has ended a short non-blocking read returns what is left
-    cache.put_many(np.array([4.0, 5.0]))
-    cache.close()
-    np.testing.assert_array_equal(cache.get_many(5, block=False), [4.0, 5.0])
-
-
 def test_cache_close_then_drain():
     cache = VariateCache(8, GaussianSpec(0.0, 1.0))
     cache.put_many(np.array([1.0, 2.0]))
@@ -287,7 +263,7 @@ def test_cache_close_then_drain():
     with pytest.raises(CacheClosed):
         cache.get()
     with pytest.raises(CacheClosed):
-        cache.put(3.0)
+        cache.put_many([3.0])
 
 
 def test_cache_partial_delivery_on_close():
