@@ -71,13 +71,14 @@ def gaussian_pdf(x, spec: GaussianSpec):
     exp(-0.5 * z * z) / (sigma * sqrt(2 pi)) with z = (x - mean) / sigma,
     each step in place on one buffer. Squaring before the exact ×−0.5
     changes a rounding only where 0.5·z² is subnormal, and exp gives 1.0
-    there either way. A |z| whose square overflows gives 0.0, unwarned.
+    there either way. A |z| that overflows, or whose square does, gives
+    0.0, unwarned.
     """
     x = np.asarray(x, dtype=float)
     # the out array keeps a scalar input 0-d, so every step runs in place
     out = np.subtract(x, spec.mean, out=np.empty_like(x))
-    out /= spec.sigma
     with np.errstate(over="ignore"):
+        out /= spec.sigma
         np.multiply(out, out, out=out)
     out *= -0.5
     np.exp(out, out=out)

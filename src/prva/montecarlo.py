@@ -19,10 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -74,8 +75,9 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     adjacent pairs contribute (x[i] - x[i-1]) * (f[i] + f[i-1]) / 2.
     The result's ``error`` is exactly |1 - area|; density mass outside
     [min(samples), max(samples)] is invisible to the rule and shows up
-    as error. A NaN or infinite sample, or a span wider than float64
-    can represent, raises ValueError.
+    as error. A NaN or infinite sample, a span wider than float64 can
+    represent, or an area that overflows (a target sigma far narrower
+    than the span) raises ValueError.
 
     Only the sorted copy and the density are allocated. The differences
     overwrite the sorted copy and the pairwise sums the density, each
@@ -98,8 +100,16 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
         )
     f = gaussian_pdf(x, target)
     width = np.subtract(x[1:], x[:-1], out=x[:-1])
-    width *= np.add(f[1:], f[:-1], out=f[:-1])
-    area = float(np.sum(width) * 0.5)
+    # a density peak of 1/(sigma sqrt(2 pi)) times a wide span can
+    # overflow; the check below reports it in place of a numpy warning
+    with np.errstate(over="ignore"):
+        width *= np.add(f[1:], f[:-1], out=f[:-1])
+        area = float(np.sum(width) * 0.5)
+    if not math.isfinite(area):
+        raise ValueError(
+            f"integration of a target with sigma {target.sigma!r} over samples "
+            f"spanning [{lo!r}, {hi!r}] overflows a float64"
+        )
     return IntegrationResult(area=area, error=abs(1.0 - area), n=int(x.size))
 
 
@@ -226,6 +236,22 @@ class BenchmarkReport:
         return lines
 
 
+@cache
+def _pool(executor, threads: int):
+    """The process's long-lived pool of ``threads`` workers of ``executor``.
+
+    Reusing the workers across calls keeps their malloc arenas warm, where
+    a fresh pool per call faults the arenas' pages in again on every call.
+    """
+    return executor(max_workers=threads)
+
+
+# a forked child inherits the pool but not its threads: work submitted
+# there would queue forever, so the child starts without cached pools
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def run_benchmark(
     sources,
     target: GaussianSpec,
@@ -246,8 +272,10 @@ def run_benchmark(
     produces are independent of scheduling; jobs are distributed over
     ``threads`` worker threads and reduced in repetition order, which
     keeps every non-timing field of the report identical across thread
-    counts. Per-source operation counters are merged over repetitions.
-    A job's wall time is one clock window from the draw of its n samples
+    counts. The workers are long-lived: calls with the same thread count
+    share one pool, and a forked child starts a pool of its own.
+    Per-source operation counters are merged over repetitions. A job's
+    wall time is one clock window from the draw of its n samples
     to their integral; a ``prva`` job fills its cache before the window
     opens, so its draw is the cache drain.
     """
@@ -295,18 +323,25 @@ def run_benchmark(
             cache = VariateCache(n, target)
             coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
             fill_cache(cache, values[:n], coeffs, counter=counter)
+            # the cache holds the retargeted copy. Freed before the drain, the
+            # inputs' memory is reused by its buffers, so the worker's malloc
+            # arena stays below the trim threshold and is not faulted in anew
+            del trace, values
             draw = partial(cache.get_many, n)
         t0 = time.perf_counter()
         result = mc_integrate(draw(), target)
         elapsed = time.perf_counter() - t0
         return result, elapsed, counter
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            (si, ri): pool.submit(job, si, ri)
-            for si in range(len(configs))
-            for ri in range(repetitions)
-        }
+    # looked up at call time, so a substituted executor class gets its own pool
+    pool = _pool(ThreadPoolExecutor, threads)
+    futures = {
+        (si, ri): pool.submit(job, si, ri)
+        for si in range(len(configs))
+        for ri in range(repetitions)
+    }
+    # a raising job surfaces only after every job of the call has finished
+    wait(futures.values())
 
     aggregates = []
     for si, cfg in enumerate(configs):

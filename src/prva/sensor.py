@@ -155,15 +155,17 @@ class AdcModel:
         x = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot quantize non-finite values")
-        # clip in float before the integer cast: casting first overflows
-        # for huge inputs and wraps them into the wrong bin. The out array
-        # keeps a scalar input 0-d, so every step can run in place.
+        # clip in float before the integer cast, and cast as the clip
+        # writes: casting first overflows for huge inputs and wraps them
+        # into the wrong bin. The out arrays keep a scalar input 0-d, so
+        # every step can run in place.
         with np.errstate(over="ignore"):
             idx = np.subtract(x, self.range_lo, out=np.empty_like(x))
             np.divide(idx, self.width, out=idx)
         np.floor(idx, out=idx)
-        idx = np.clip(idx, 0, self.bin_count - 1, out=idx).astype(np.int64)
-        return idx if idx.ndim else int(idx)
+        codes = np.empty(idx.shape, np.int64)
+        np.clip(idx, 0, self.bin_count - 1, out=codes, casting="unsafe")
+        return codes if codes.ndim else int(codes)
 
     def value(self, codes):
         """Bin-center value of each code."""

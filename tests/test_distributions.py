@@ -68,6 +68,8 @@ def test_gaussian_pdf_far_tail_is_zero_without_warning():
         warnings.simplefilter("error")
         assert gaussian_pdf(1e154, spec) == 0.0
         assert gaussian_pdf(-1e300, spec) == 0.0
+        # here z itself overflows in the divide by sigma
+        assert gaussian_pdf(1e300, GaussianSpec(0.0, 1e-300)) == 0.0
         out = gaussian_pdf(np.array([2.0, 1e200, -math.inf, math.inf, 1e154]), spec)
     assert out[0] == 1.0 / (0.5 * math.sqrt(2.0 * math.pi))
     np.testing.assert_array_equal(out[1:], 0.0)

@@ -1,13 +1,21 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import platform
+import subprocess
+import sys
+import threading
 import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prva
 from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.montecarlo import (
@@ -82,6 +90,15 @@ def test_integrate_rejects_span_that_overflows(x):
             mc_integrate(x, GaussianSpec(0.0, 1.0))
 
 
+def test_integrate_rejects_area_that_overflows():
+    # a finite span times a tiny sigma's density peak used to warn
+    # "overflow encountered in multiply" and return area=inf silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"sigma 1e-300 .* \[-1e\+300, 1e\+300\]"):
+            mc_integrate([-1e300, 0.0, 1e300], GaussianSpec(0.0, 1e-300))
+
+
 def test_integrate_accepts_the_widest_finite_span():
     r = mc_integrate([-8e307, 8e307], GaussianSpec(0.0, 1.0))
     assert r.area == 0.0 and r.error == 1.0
@@ -149,6 +166,108 @@ def test_mean_time_covers_integration(monkeypatch):
     report = run_benchmark(("uniform:4", "gaussian", "prva"), TARGET, 500, 1, seed=2)
     for s in report.sources:
         assert s.mean_time_s >= 0.05, s.source
+
+
+def test_benchmark_reuses_its_worker_threads(monkeypatch):
+    # calls with one thread count share one long-lived pool
+    real = montecarlo.mc_integrate
+    names = []
+
+    def recording_integrate(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        time.sleep(0.01)  # a busy worker makes the other take jobs too
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_integrate", recording_integrate)
+    per_call = []
+    for seed in range(3):
+        names.clear()
+        run_benchmark(("uniform:4", "gaussian"), TARGET, 500, 4, seed=seed, threads=2)
+        per_call.append(set(names))
+    assert len(per_call[0]) == 2
+    assert per_call[0] == per_call[1] == per_call[2]
+
+
+def test_raising_job_surfaces_after_every_job_finished(monkeypatch):
+    real = montecarlo.mc_integrate
+    finished = []
+
+    def failing_draw(*args, **kwargs):
+        raise RuntimeError("draw failed")
+
+    def slow_integrate(*args, **kwargs):
+        time.sleep(0.05)
+        result = real(*args, **kwargs)
+        finished.append(result)
+        return result
+
+    monkeypatch.setattr(montecarlo, "inversion_sample", failing_draw)
+    monkeypatch.setattr(montecarlo, "mc_integrate", slow_integrate)
+    # the first job in reduction order raises at once; the caller must
+    # still see its error only after the three gaussian jobs are done
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_benchmark(("uniform:4", "gaussian"), TARGET, 500, 3, threads=2)
+    assert len(finished) == 3
+
+
+def _benchmark_in_child():
+    run_benchmark(("uniform:4", "gaussian", "prva"), TARGET, 500, 2, threads=2)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_runs_the_benchmark():
+    # the child inherits the warmed pool object but none of its threads,
+    # so work submitted to that pool would never run
+    run_benchmark(("uniform:4",), TARGET, 500, 2, threads=2)
+    child = multiprocessing.get_context("fork").Process(target=_benchmark_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung in run_benchmark")
+    assert child.exitcode == 0
+
+
+FAULT_PROBE = """
+import resource, statistics
+from prva.distributions import GaussianSpec
+from prva.montecarlo import run_benchmark
+
+def call(seed):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_benchmark(("uniform:3", "uniform:1000", "gaussian", "prva"),
+                  GaussianSpec(0.0, 1.0), 100_000, 4, threads=2, seed=seed)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for seed in range(3):
+    call(seed)
+print(statistics.median(call(seed) for seed in range(3, 11)))
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's malloc arena faults",
+)
+def test_warm_benchmark_call_faults_no_fresh_pages():
+    # a pool per call, or a prva job holding its inputs through the drain,
+    # made malloc return arena memory to the kernel after each job: every
+    # call then faulted 2.2k-6.3k fresh pages back in
+    src = str(Path(prva.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert float(result.stdout) < 100
 
 
 def test_benchmark_uniform_ops_are_two_per_variate():
