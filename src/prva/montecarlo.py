@@ -242,6 +242,8 @@ def _pool(executor, threads: int):
 
     Reusing the workers across calls keeps their malloc arenas warm, where
     a fresh pool per call faults the arenas' pages in again on every call.
+    Only a process that calls ``run_benchmark`` more than once gains; the
+    pool is never shut down, so its threads live until the process exits.
     """
     return executor(max_workers=threads)
 
@@ -273,7 +275,8 @@ def run_benchmark(
     ``threads`` worker threads and reduced in repetition order, which
     keeps every non-timing field of the report identical across thread
     counts. The workers are long-lived: calls with the same thread count
-    share one pool, and a forked child starts a pool of its own.
+    share one pool, whose threads live until the process exits, and a
+    forked child starts a pool of its own.
     Per-source operation counters are merged over repetitions. A job's
     wall time is one clock window from the draw of its n samples
     to their integral; a ``prva`` job fills its cache before the window

@@ -2,20 +2,14 @@ import csv
 import json
 import math
 import multiprocessing
-import os
-import platform
-import subprocess
-import sys
 import threading
 import time
 import warnings
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import prva
 from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.montecarlo import (
@@ -230,44 +224,6 @@ def test_forked_child_runs_the_benchmark():
         child.join()
         pytest.fail("the forked child hung in run_benchmark")
     assert child.exitcode == 0
-
-
-FAULT_PROBE = """
-import resource, statistics
-from prva.distributions import GaussianSpec
-from prva.montecarlo import run_benchmark
-
-def call(seed):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_benchmark(("uniform:3", "uniform:1000", "gaussian", "prva"),
-                  GaussianSpec(0.0, 1.0), 100_000, 4, threads=2, seed=seed)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-for seed in range(3):
-    call(seed)
-print(statistics.median(call(seed) for seed in range(3, 11)))
-"""
-
-
-@pytest.mark.skipif(
-    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-    reason="counts glibc's malloc arena faults",
-)
-def test_warm_benchmark_call_faults_no_fresh_pages():
-    # a pool per call, or a prva job holding its inputs through the drain,
-    # made malloc return arena memory to the kernel after each job: every
-    # call then faulted 2.2k-6.3k fresh pages back in
-    src = str(Path(prva.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert float(result.stdout) < 100
 
 
 def test_benchmark_uniform_ops_are_two_per_variate():
