@@ -71,18 +71,23 @@ def gaussian_pdf(x, spec: GaussianSpec):
     exp(-0.5 * z * z) / (sigma * sqrt(2 pi)) with z = (x - mean) / sigma,
     each step in place on one buffer. Squaring before the exact ×−0.5
     changes a rounding only where 0.5·z² is subnormal, and exp gives 1.0
-    there either way. A |z| that overflows, or whose square does, gives
-    0.0, unwarned.
+    there either way. Overflow saturates, unwarned, in two places:
+
+    - an x − mean that overflows (x = 1.7e308 against mean = −1.7e308),
+      or a |z| that overflows, or whose square does, gives 0.0;
+    - a sigma so small that the peak 1/(sigma·sqrt(2π)) exceeds float64
+      (a subnormal sigma such as 5e-324) gives inf near the mean, which
+      :func:`prva.montecarlo.mc_integrate` reports as an overflowing area.
     """
     x = np.asarray(x, dtype=float)
     # the out array keeps a scalar input 0-d, so every step runs in place
-    out = np.subtract(x, spec.mean, out=np.empty_like(x))
     with np.errstate(over="ignore"):
+        out = np.subtract(x, spec.mean, out=np.empty_like(x))
         out /= spec.sigma
         np.multiply(out, out, out=out)
-    out *= -0.5
-    np.exp(out, out=out)
-    out /= spec.sigma * math.sqrt(2.0 * math.pi)
+        out *= -0.5
+        np.exp(out, out=out)
+        out /= spec.sigma * math.sqrt(2.0 * math.pi)
     return out if out.ndim else float(out)
 
 

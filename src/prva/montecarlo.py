@@ -101,8 +101,10 @@ def mc_integrate(samples, target: GaussianSpec) -> IntegrationResult:
     f = gaussian_pdf(x, target)
     width = np.subtract(x[1:], x[:-1], out=x[:-1])
     # a density peak of 1/(sigma sqrt(2 pi)) times a wide span can
-    # overflow; the check below reports it in place of a numpy warning
-    with np.errstate(over="ignore"):
+    # overflow, and a peak that is itself inf times a zero width between
+    # repeated samples is NaN; the check below reports either in place of
+    # a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
         width *= np.add(f[1:], f[:-1], out=f[:-1])
         area = float(np.sum(width) * 0.5)
     if not math.isfinite(area):

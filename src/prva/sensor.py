@@ -157,12 +157,12 @@ class AdcModel:
             raise ValueError("cannot quantize non-finite values")
         # clip in float before the integer cast, and cast as the clip
         # writes: casting first overflows for huge inputs and wraps them
-        # into the wrong bin. The out arrays keep a scalar input 0-d, so
-        # every step can run in place.
+        # into the wrong bin. The cast truncates, which is floor on the
+        # clipped range. The out arrays keep a scalar input 0-d, so every
+        # step can run in place.
         with np.errstate(over="ignore"):
             idx = np.subtract(x, self.range_lo, out=np.empty_like(x))
             np.divide(idx, self.width, out=idx)
-        np.floor(idx, out=idx)
         codes = np.empty(idx.shape, np.int64)
         np.clip(idx, 0, self.bin_count - 1, out=codes, casting="unsafe")
         return codes if codes.ndim else int(codes)

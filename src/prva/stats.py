@@ -19,6 +19,11 @@ from .distributions import GaussianSpec, gaussian_cdf
 from .samplers import SeededStream, derive_seed, reference_gaussian_sample
 
 
+# values per block of the blocked scoring kernels, so that their scratch
+# (512 KiB per float64 buffer) does not grow with the sample count
+_BLOCK = 2**16
+
+
 class EmptyDataError(ValueError):
     """Raised when an operation needs at least one sample and got none."""
 
@@ -110,15 +115,24 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
             f"histogram range [{lo}, {hi}] is too wide or too narrow for "
             f"{bins} bins (bin width {(hi - lo) / bins})"
         )
-    # floor((x - lo) * scale) in one buffer; clip in float before the
-    # integer cast, so huge or infinite samples saturate instead of
-    # overflowing into the wrong bin, and cast as the clip writes
-    with np.errstate(over="ignore"):
-        pos = np.subtract(x, lo)
-        pos *= scale
-    np.floor(pos, out=pos)
-    idx = np.clip(pos, 0, bins - 1, out=np.empty(pos.shape, np.int64), casting="unsafe")
-    counts = np.bincount(idx, minlength=bins)
+    # (x - lo) * scale, clipped in float before the integer cast, so huge
+    # or infinite samples saturate instead of overflowing into the wrong
+    # bin; the cast truncates, which is floor on the clipped range. Blocks
+    # reuse one float and one int64 scratch buffer, and integer counts
+    # sum exactly. A block holds at least ``bins`` values, so each block's
+    # bins-long bincount costs no more than the block itself.
+    step = max(_BLOCK, bins)
+    counts = np.zeros(bins, np.int64)
+    pos = np.empty(min(x.size, step))
+    idx = np.empty(pos.size, np.int64)
+    for start in range(0, x.size, step):
+        block = x[start : start + step]
+        p, i = pos[: block.size], idx[: block.size]
+        with np.errstate(over="ignore"):
+            np.subtract(block, lo, out=p)
+            p *= scale
+        np.clip(p, 0, bins - 1, out=i, casting="unsafe")
+        counts += np.bincount(i, minlength=bins)
     return Histogram(edges=np.linspace(lo, hi, bins + 1), counts=counts)
 
 
@@ -140,10 +154,30 @@ def fit_gaussian(samples) -> FitResult:
     # finite samples whose deviations overflow when squared give inf,
     # which FitResult rejects
     with np.errstate(over="ignore"):
-        sigma = float(x.std(ddof=0))
+        squares = _squared_deviations(x, mean, np.empty(min(x.size, _BLOCK)))
+    sigma = math.sqrt(squares / x.size)
     if sigma == 0.0:
         raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
     return FitResult(mean=mean, sigma=sigma, n=int(x.size))
+
+
+def _squared_deviations(x, mean: float, scratch) -> float:
+    """Sum of (x - mean)**2 in the order ``np.add.reduce`` sums it.
+
+    numpy sums a contiguous float64 array pairwise, splitting at n // 2
+    rounded down to a multiple of 8. Following that tree down to pieces
+    that fit ``scratch`` and reducing each piece there gives the sum
+    ``x.std()`` takes, bit for bit, without an n-sized temporary.
+    """
+    if x.size <= scratch.size:
+        d = np.subtract(x, mean, out=scratch[: x.size])
+        np.multiply(d, d, out=d)
+        return float(np.add.reduce(d))
+    half = x.size // 2
+    half -= half % 8
+    return _squared_deviations(x[:half], mean, scratch) + _squared_deviations(
+        x[half:], mean, scratch
+    )
 
 
 def fit_gaussian_binned(hist: Histogram) -> FitResult:

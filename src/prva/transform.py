@@ -162,12 +162,18 @@ class VariateCache:
         Blocks until ``count`` are available (or production closes, in
         which case whatever remains is returned — possibly fewer — unless
         production failed, which re-raises the producer's exception). A
-        closed, fully drained cache raises CacheClosed.
+        closed, fully drained cache raises CacheClosed. Each popped piece
+        is copied into one result, allocated for ``count`` values, or for
+        what remains when the cache is already closed; a short read
+        returns a copy of just the values it got.
         """
         count = int(count)
         if count < 1:
             raise ValueError("count must be >= 1")
-        parts = []
+        # read without the lock: once closed, the count only falls, so it
+        # bounds what this read can get. Allocating before the wait, while
+        # the producer's chunks are still few, also keeps peak RSS lower.
+        out = np.empty(min(count, self._count) if self._closed else count)
         got = 0
         with self._cond:
             while got < count:
@@ -178,7 +184,7 @@ class VariateCache:
                 chunk = self._chunks[0]
                 avail = chunk.size - self._head
                 take = min(avail, count - got)
-                parts.append(chunk[self._head : self._head + take])
+                out[got : got + take] = chunk[self._head : self._head + take]
                 self._head += take
                 if self._head == chunk.size:
                     self._chunks.popleft()
@@ -187,7 +193,7 @@ class VariateCache:
                 self.total_consumed += take
                 got += take
                 self._cond.notify_all()
-        return np.concatenate(parts) if len(parts) != 1 else np.array(parts[0])
+        return out if got == out.size else out[:got].copy()
 
     def get(self) -> float:
         """Pop one variate: ``float(get_many(1)[0])``, without the arrays.

@@ -75,6 +75,17 @@ def test_gaussian_pdf_far_tail_is_zero_without_warning():
     np.testing.assert_array_equal(out[1:], 0.0)
 
 
+def test_gaussian_pdf_saturates_overflowing_deviation_and_peak_without_warning():
+    # x - mean overflowed in the subtract, and a subnormal sigma's peak
+    # 1 / (sigma sqrt(2 pi)) in the final divide; both warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_pdf(1.7e308, GaussianSpec(-1.7e308, 1.0)) == 0.0
+        assert gaussian_pdf(0.0, GaussianSpec(0.0, 5e-324)) == math.inf
+        out = gaussian_pdf(np.array([1.7e308, -1.7e308]), GaussianSpec(-1.7e308, 1.0))
+    np.testing.assert_array_equal(out, [0.0, 1.0 / math.sqrt(2.0 * math.pi)])
+
+
 def test_gaussian_cdf_values():
     std = GaussianSpec(0.0, 1.0)
     assert math.isclose(gaussian_cdf(0.0, std), 0.5)

@@ -6,9 +6,10 @@ The polar sampler, ``AdcModel.quantize``/``value``,
 they own. The functions below spell out the same IEEE operations as
 plain numpy expressions, one temporary per step, and serve as the
 reference: every output bit, every ``OpCounter`` charge and every
-``draws_taken`` of the library kernels must equal theirs. The
+``draws_taken`` of the library kernels must equal theirs. The blocked
+``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit. The
 ``tracemalloc`` checks at the end bound how many n-sized buffers the
-scoring kernels allocate.
+scoring kernels and the cache drain allocate.
 """
 
 import math
@@ -33,8 +34,8 @@ from prva.sensor import (
     dequantize_with_jitter,
     generate_trace,
 )
-from prva.stats import histogram
-from prva.transform import apply, make_coeffs
+from prva.stats import fit_gaussian, histogram
+from prva.transform import VariateCache, apply, fill_cache, make_coeffs
 
 SPEC = GaussianSpec(980.794, 7.178)
 SIZES = (None, 1, 2, 3, 17, 100, 10**5, 10**6)
@@ -154,11 +155,25 @@ def test_polar_sampler_matches_when_first_round_falls_short(n):
     assert_same_streams(got_stream, want_stream)
 
 
+def bin_edges_and_neighbours(lo, hi, bins):
+    """Every bin edge, the floats either side of it, ±0.0 and ±1e300.
+
+    Clipping to [0, bins - 1] and casting truncates; these are the inputs
+    where that could part from flooring first.
+    """
+    edges = np.append(lo + np.arange(bins + 1) * ((hi - lo) / bins), hi)
+    return np.concatenate(
+        (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, -0.0, 1e300, -1e300])
+    )
+
+
 def test_quantize_matches_expression_form():
+    for adc in (AdcModel(16, 0.0, 1.0), AdcModel(16, -1.0, 0.0)):
+        edges = bin_edges_and_neighbours(adc.range_lo, adc.range_hi, adc.bin_count)
+        assert_identical(adc.quantize(edges), quantize_expression(adc, edges))
     adc = AdcModel(4096, 951.2, 1010.3)
     raw = polar_expression(SeededStream(3), SPEC, 10**5)
-    lo, hi = adc.range_lo, adc.range_hi
-    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 1e300, -1e300]
+    edges = bin_edges_and_neighbours(adc.range_lo, adc.range_hi, adc.bin_count)
     for values in (
         raw,
         np.array(edges),
@@ -344,7 +359,7 @@ def test_apply_matches_expression_form(seed, size):
             assert_identical(apply(c, x), apply_expression(c, x))
 
 
-@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("size", SIZES + (2**16 - 1, 2**16 + 1))
 @pytest.mark.parametrize("seed", [0, 2024])
 def test_histogram_matches_expression_form(seed, size):
     for x in scoring_inputs(seed, size).values():
@@ -352,6 +367,28 @@ def test_histogram_matches_expression_form(seed, size):
             h = histogram(x, bins, (lo, hi))
             assert_identical(h.counts, histogram_counts_expression(x, bins, lo, hi))
             assert_identical(h.edges, np.linspace(lo, hi, bins + 1))
+
+
+def test_histogram_matches_expression_form_at_bin_edges():
+    # more bins than a 2**16 block widens the block; 3 * 2**17 edges and
+    # neighbours still span several of them
+    for bins, lo, hi in ((256, -4.0, 4.0), (16, 0.0, 1.0), (4096, -1000.0, 999.0), (2**17 + 3, -4.0, 4.0)):
+        x = bin_edges_and_neighbours(lo, hi, bins)
+        assert_identical(histogram(x, bins, (lo, hi)).counts, histogram_counts_expression(x, bins, lo, hi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8, 10**6, 3 * 10**6 + 5])
+def test_fit_gaussian_sigma_matches_numpy_std(n):
+    # the blocked sum of squares follows numpy's pairwise tree, so sigma
+    # is x.std(ddof=0) to the last bit, not just close to it
+    x = reference_gaussian_sample(SeededStream(n), SPEC, n)
+    fit = fit_gaussian(x)
+    assert_identical(fit.sigma, float(x.std(ddof=0)))
+    assert_identical(fit.mean, float(x.mean()))
+    if n == 2**17 + 8:
+        # a strided or 2-D input is flattened into one contiguous copy first
+        assert_identical(fit_gaussian(x[::3]).sigma, float(x[::3].std(ddof=0)))
+        assert_identical(fit_gaussian(x.reshape(8, -1)).sigma, fit.sigma)
 
 
 def traced_peak_bytes(fn, *args):
@@ -391,3 +428,43 @@ def test_polar_sampler_temporaries_do_not_grow_with_n():
     # temporaries add about 2.7 more n-sized buffers
     peak = traced_peak_bytes(reference_gaussian_sample, SeededStream(1), STANDARD, n)
     assert peak <= 8 * n + 8 * 2 * pairs + 2 * 1024 * 1024
+
+
+# fixed-size scratch of the blocked kernels, whatever n is
+SCRATCH = 2 * 1024 * 1024
+
+
+def test_histogram_scratch_does_not_grow_with_n():
+    n = 10**6
+    x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
+    # one float and one int64 block of 2**16 values; unblocked, the
+    # bin positions and indices take 2 n-sized buffers
+    assert traced_peak_bytes(histogram, x, 256, (-4.0, 4.0)) <= SCRATCH + SLACK
+
+
+def test_fit_gaussian_scratch_does_not_grow_with_n():
+    n = 10**6
+    x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
+    # one float block of 2**16 values; x.std() takes an n-sized buffer
+    assert traced_peak_bytes(fit_gaussian, x) <= SCRATCH + SLACK
+
+
+def test_get_many_fills_one_buffer():
+    n, capacity = 10**6, 4096
+    x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
+    coeffs = make_coeffs(STANDARD, SPEC)
+
+    def drain():
+        cache = VariateCache(capacity, SPEC)
+        worker = fill_cache(cache, x, coeffs, background=True)
+        try:
+            out = cache.get_many(n)
+        finally:
+            worker.join()
+        assert out.size == n
+
+    # the result, plus the cached values and the producer's chunks in
+    # flight; views of every popped chunk kept until a final concatenate
+    # take a second n-sized buffer
+    cache_bytes = 8 * (capacity + 3 * 8192)
+    assert traced_peak_bytes(drain) <= 8 * n + cache_bytes + SLACK

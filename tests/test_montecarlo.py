@@ -93,6 +93,17 @@ def test_integrate_rejects_area_that_overflows():
             mc_integrate([-1e300, 0.0, 1e300], GaussianSpec(0.0, 1e-300))
 
 
+@pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 0.0, 1.0]])
+def test_integrate_rejects_a_peak_that_overflows(x):
+    # a subnormal sigma's density peak is inf; it used to warn "overflow
+    # encountered in divide", and times a zero width between repeated
+    # samples "invalid value encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"sigma 5e-324 .* \[0\.0, 1\.0\]"):
+            mc_integrate(x, GaussianSpec(0.0, 5e-324))
+
+
 def test_integrate_accepts_the_widest_finite_span():
     r = mc_integrate([-8e307, 8e307], GaussianSpec(0.0, 1.0))
     assert r.area == 0.0 and r.error == 1.0
