@@ -410,9 +410,10 @@ def load_trace(path) -> SampleTrace:
     """Parse a trace file, distinguishing header, code-range, and body faults.
 
     Header problems (missing/unknown/duplicate fields, unparseable values,
-    inconsistent ADC geometry) raise TraceHeaderError; codes outside
-    [0, bins) raise TraceCodeError; an empty body or a line that is not a
-    decimal integer raises TraceBodyError.
+    inconsistent ADC geometry, a sample rate not positive and finite)
+    raise TraceHeaderError; codes outside [0, bins) raise TraceCodeError;
+    an empty body or a line that is not a decimal integer raises
+    TraceBodyError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -468,14 +469,17 @@ def load_trace(path) -> SampleTrace:
         codes.append(code)
     if not codes:
         raise TraceBodyError("trace body contains no samples")
-    return SampleTrace(
-        codes=np.asarray(codes, dtype=np.int64),
-        adc=adc,
-        temperature_c=temperature,
-        voltage_v=voltage,
-        sample_rate_hz=rate,
-        source=header["source"],
-    )
+    try:
+        return SampleTrace(
+            codes=np.asarray(codes, dtype=np.int64),
+            adc=adc,
+            temperature_c=temperature,
+            voltage_v=voltage,
+            sample_rate_hz=rate,
+            source=header["source"],
+        )
+    except ValueError as exc:  # the codes passed the checks above
+        raise TraceHeaderError(str(exc)) from exc
 
 
 def store_calibration(grid: CalibrationGrid, path) -> None:

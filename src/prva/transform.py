@@ -139,8 +139,8 @@ class VariateCache:
         return self._closed
 
     def put_many(self, values) -> None:
-        """Append variates in order, blocking whenever the cache is full."""
-        arr = np.asarray(values, dtype=float).ravel()
+        """Append a copy of ``values`` in order, blocking while the cache is full."""
+        arr = np.array(values, dtype=float).ravel()
         offset = 0
         while offset < arr.size:
             with self._cond:
@@ -182,17 +182,10 @@ class VariateCache:
                         raise CacheClosed("cache is closed and drained")
                     break
                 chunk = self._chunks[0]
-                avail = chunk.size - self._head
-                take = min(avail, count - got)
+                take = min(chunk.size - self._head, count - got)
                 out[got : got + take] = chunk[self._head : self._head + take]
-                self._head += take
-                if self._head == chunk.size:
-                    self._chunks.popleft()
-                    self._head = 0
-                self._count -= take
-                self.total_consumed += take
+                self._consume(take)
                 got += take
-                self._cond.notify_all()
         return out if got == out.size else out[:got].copy()
 
     def get(self) -> float:
@@ -204,16 +197,19 @@ class VariateCache:
         with self._cond:
             if self._count == 0 and not self._wait_for_values():
                 raise CacheClosed("cache is closed and drained")
-            chunk = self._chunks[0]
-            value = float(chunk[self._head])
-            self._head += 1
-            if self._head == chunk.size:
-                self._chunks.popleft()
-                self._head = 0
-            self._count -= 1
-            self.total_consumed += 1
-            self._cond.notify_all()
+            value = float(self._chunks[0][self._head])
+            self._consume(1)
         return value
+
+    def _consume(self, take: int) -> None:
+        """With the lock held, pop ``take`` values, at most the front chunk's rest."""
+        self._head += take
+        if self._head == self._chunks[0].size:
+            self._chunks.popleft()
+            self._head = 0
+        self._count -= take
+        self.total_consumed += take
+        self._cond.notify_all()
 
     def _wait_for_values(self) -> bool:
         """With the lock held, wait for a variate; False once closed and drained.
@@ -252,46 +248,43 @@ def fill_cache(
 ):
     """Retarget standardized values through ``coeffs`` into ``cache``.
 
-    ``values`` is the N(0, 1) stream from :func:`compensate` (an array,
-    or any iterable of arrays). Before anything is produced the
-    coefficients are checked against the cache label: coefficients that
-    map N(0, 1) to some other Gaussian than ``cache.requested_spec``
-    raise CoeffsMismatchError. With ``background=True`` production runs
-    on a daemon thread and the started thread is returned, which is the
-    producer/consumer arrangement the cache exists for; an exception in
-    production is kept on the cache and re-raised to its reader. Otherwise
-    the cache is filled inline and None is returned; an array larger than
-    the free room would block forever, so it raises ValueError up front.
+    ``values`` is the N(0, 1) stream from :func:`compensate`, read as one
+    flat float array (in place, so it must not change while a background
+    fill runs) ``chunk_size`` values at a time; the cache keeps a copy of
+    each retargeted chunk. Before anything is produced, ``chunk_size``
+    below 1 raises ValueError and coefficients that map N(0, 1) to some
+    other Gaussian than ``cache.requested_spec`` raise CoeffsMismatchError.
+    With ``background=True`` production runs on a daemon thread and the
+    started thread is returned, which is the producer/consumer arrangement
+    the cache exists for; an exception in production is kept on the cache
+    and re-raised to its reader. Otherwise the cache is filled inline and
+    None is returned; more values than the free room would block forever,
+    so they raise ValueError up front.
     Either way the cache is closed when production ends.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     spec = cache.requested_spec
     want = make_coeffs(GaussianSpec(0.0, 1.0), spec)
     if not (
         math.isclose(coeffs.scale, want.scale, rel_tol=1e-9, abs_tol=1e-9)
         and math.isclose(coeffs.offset, want.offset, rel_tol=1e-9, abs_tol=1e-9)
     ):
-        delivered_sigma = coeffs.scale
-        delivered_mean = coeffs.offset
         raise CoeffsMismatchError(
-            f"coefficients deliver N({delivered_mean}, {delivered_sigma}) into a "
+            f"coefficients deliver N({coeffs.offset}, {coeffs.scale}) into a "
             f"cache labeled N({spec.mean}, {spec.sigma})"
         )
-    if isinstance(values, np.ndarray):
-        arr = values.ravel()
-        room = cache.capacity - cache.occupancy
-        if not background and arr.size > room:
-            raise ValueError(
-                f"inline fill of {arr.size} values into a cache with room for {room}"
-            )
-        pieces = (arr[i : i + chunk_size] for i in range(0, arr.size, chunk_size))
-    else:
-        pieces = (np.asarray(p, dtype=float).ravel() for p in values)
+    arr = np.asarray(values, dtype=float).ravel()
+    room = cache.capacity - cache.occupancy
+    if not background and arr.size > room:
+        raise ValueError(
+            f"inline fill of {arr.size} values into a cache with room for {room}"
+        )
 
     def produce():
         try:
-            for piece in pieces:
-                if piece.size:
-                    cache.put_many(apply(coeffs, piece, counter))
+            for i in range(0, arr.size, chunk_size):
+                cache.put_many(apply(coeffs, arr[i : i + chunk_size], counter))
         except Exception as exc:
             cache.close(exc)
             if not background:

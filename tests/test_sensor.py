@@ -394,6 +394,10 @@ def test_trace_header_unparseable_value(tmp_path):
     path.write_text(_trace_text(range_hi="-1.0"))  # inconsistent geometry
     with pytest.raises(TraceHeaderError):
         load_trace(path)
+    for rate in ("0", "-5", "inf", "nan"):  # parses, but no sample rate
+        path.write_text(_trace_text(sample_rate_hz=rate))
+        with pytest.raises(TraceHeaderError, match="sample_rate_hz"):
+            load_trace(path)
 
 
 def test_trace_code_out_of_range(tmp_path):

@@ -16,6 +16,7 @@ from prva.sensor import (
     generate_trace,
 )
 from prva.stats import fit_gaussian
+from prva import transform
 from prva.transform import (
     CacheClosed,
     CoeffsMismatchError,
@@ -266,6 +267,15 @@ def test_cache_close_then_drain():
         cache.put_many([3.0])
 
 
+def test_cache_put_many_keeps_its_own_copy():
+    # a producer that reuses its buffer must not change queued variates
+    cache = VariateCache(8, GaussianSpec(0.0, 1.0))
+    buf = np.arange(4.0)
+    cache.put_many(buf)
+    buf[:] = -1.0
+    np.testing.assert_array_equal(cache.get_many(4), [0.0, 1.0, 2.0, 3.0])
+
+
 def test_cache_partial_delivery_on_close():
     # a closed cache holds all it will give, so a count far beyond that
     # allocates only what is there
@@ -325,46 +335,86 @@ def test_fill_cache_inline_needs_enough_capacity():
 
 def test_fill_cache_inline_overflow_raises_instead_of_blocking():
     spec = GaussianSpec(0.0, 1.0)
-    cache = VariateCache(4, spec)
-    raised = []
 
-    def fill():
+    def fill(cache, values, raised):
         try:
-            fill_cache(cache, np.arange(10.0), make_coeffs(spec, spec))
+            fill_cache(cache, values, make_coeffs(spec, spec))
         except ValueError as exc:
             raised.append(exc)
 
-    # on a daemon thread, so a fill that blocks fails here instead of hanging
-    worker = threading.Thread(target=fill, daemon=True)
-    worker.start()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive(), "inline fill blocked on a full cache"
-    assert len(raised) == 1 and "room for 4" in str(raised[0])
-    assert cache.occupancy == 0 and not cache.closed
+    # an array, and a list of arrays that np.asarray flattens to one
+    for values in (np.arange(10.0), [np.arange(10.0)]):
+        cache = VariateCache(4, spec)
+        raised = []
+        # on a daemon thread, so a fill that blocks fails here instead of hanging
+        worker = threading.Thread(
+            target=fill, args=(cache, values, raised), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "inline fill blocked on a full cache"
+        assert len(raised) == 1 and "room for 4" in str(raised[0])
+        assert cache.occupancy == 0 and not cache.closed
 
 
-def test_fill_cache_producer_error_reaches_the_reader():
+def test_fill_cache_producer_error_reaches_the_reader(monkeypatch):
     spec = GaussianSpec(0.0, 1.0)
+    real_apply = transform.apply
+    calls = []
 
-    def failing_values():
-        yield from (0.1, 0.2, 0.3, 0.4)
-        raise RuntimeError("sensor fault")
+    def apply_failing_on_second_chunk(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("sensor fault")
+        return real_apply(*args, **kwargs)
 
+    monkeypatch.setattr(transform, "apply", apply_failing_on_second_chunk)
+    values = np.arange(10.0)
     cache = VariateCache(16, spec)
     worker = fill_cache(
-        cache, failing_values(), make_coeffs(spec, spec), background=True
+        cache, values, make_coeffs(spec, spec), background=True, chunk_size=4
     )
     with pytest.raises(RuntimeError, match="sensor fault"):
         cache.get_many(10)
     worker.join(timeout=5.0)
     assert not worker.is_alive()
     # inline, the error reaches the caller directly and still closes the cache
+    calls.clear()
     cache = VariateCache(16, spec)
     with pytest.raises(RuntimeError, match="sensor fault"):
-        fill_cache(cache, failing_values(), make_coeffs(spec, spec))
+        fill_cache(cache, values, make_coeffs(spec, spec), chunk_size=4)
     assert cache.closed
+    # the first chunk was produced before the failure and is still delivered
+    np.testing.assert_array_equal(cache.get_many(4), values[:4])
     with pytest.raises(RuntimeError, match="sensor fault"):
         cache.get_many(10)
+
+
+def test_fill_cache_rejects_a_generator_when_called():
+    # values are one array: a generator fails at the call, not in the producer
+    spec = GaussianSpec(0.0, 1.0)
+    cache = VariateCache(16, spec)
+    gen = (np.full(4, v) for v in (0.1, 0.2))
+    with pytest.raises(TypeError):
+        fill_cache(cache, gen, make_coeffs(spec, spec), background=True)
+    assert cache.occupancy == 0 and not cache.closed
+
+
+@pytest.mark.parametrize("chunk_size", [-1, 0])
+def test_fill_cache_rejects_nonpositive_chunk_size(chunk_size):
+    spec = GaussianSpec(0.0, 1.0)
+    cache = VariateCache(16, spec)
+    for background in (False, True):
+        with pytest.raises(ValueError, match="chunk_size"):
+            fill_cache(
+                cache,
+                np.arange(10.0),
+                make_coeffs(spec, spec),
+                background=background,
+                chunk_size=chunk_size,
+            )
+    assert cache.occupancy == 0 and not cache.closed
+    assert cache.total_produced == 0
 
 
 def test_fill_cache_rejects_mislabeled_coeffs():
