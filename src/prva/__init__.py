@@ -23,7 +23,6 @@ from .distributions import (
 from .samplers import (
     AcceptRejectSampler,
     DisjointSupportError,
-    EnvelopeError,
     OpCounter,
     SeededStream,
     derive_seed,
@@ -81,7 +80,6 @@ __all__ = [
     "CacheClosed",
     "CalibrationGrid",
     "DisjointSupportError",
-    "EnvelopeError",
     "ExponentialSpec",
     "FitResult",
     "GaussianSpec",

@@ -22,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -150,6 +150,10 @@ def parse_source(text: str) -> SourceConfig:
             raise UnknownSourceError(f"source {label!r}: gaussian takes no argument")
         return SourceConfig(label=label, kind="gaussian")
     if kind == "prva":
+        if sep and not arg:
+            raise UnknownSourceError(
+                f"source {label!r}: replay needs a trace path, e.g. prva:trace.txt"
+            )
         return SourceConfig(label=label, kind="prva", trace_path=arg if sep else None)
     raise UnknownSourceError(f"unknown source {label!r}")
 
@@ -282,7 +286,8 @@ def run_benchmark(
     Per-source operation counters are merged over repetitions. A job's
     wall time is one clock window from the draw of its n samples
     to their integral; a ``prva`` job fills its cache before the window
-    opens, so its draw is the cache drain.
+    opens, so its draw is the cache drain. A ``prva:<path>`` job replays
+    only the trace's first n codes, so it is charged for what it delivers.
     """
     if n < 2:
         raise ValueError("benchmark needs n >= 2")
@@ -304,7 +309,7 @@ def run_benchmark(
                     f"trace {cfg.trace_path!r} holds {len(trace)} codes; "
                     f"benchmark needs {n}"
                 )
-            replays[cfg.label] = trace
+            replays[cfg.label] = replace(trace, codes=trace.codes[:n])
 
     def job(si: int, ri: int):
         cfg = configs[si]
@@ -327,7 +332,7 @@ def run_benchmark(
                 values = compensate(trace, None, stream=stream)
             cache = VariateCache(n, target)
             coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-            fill_cache(cache, values[:n], coeffs, counter=counter)
+            fill_cache(cache, values, coeffs, counter=counter)
             # the cache holds the retargeted copy. Freed before the drain, the
             # inputs' memory is reused by its buffers, so the worker's malloc
             # arena stays below the trim threshold and is not faulted in anew

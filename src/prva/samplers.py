@@ -5,7 +5,7 @@ Three generation routes live here:
 * :func:`inversion_sample` — closed-form inverse-CDF sampling for the
   families that admit one.
 * :class:`AcceptRejectSampler` — rejection sampling of a Gaussian target
-  under a scaled uniform envelope.
+  under the tightest scaled uniform envelope.
 * :func:`reference_gaussian_sample` — a polar-method Gaussian generator
   used as the software baseline everywhere a trusted normal source is
   needed.
@@ -32,10 +32,6 @@ from .distributions import (
     gaussian_pdf,
     inverse_cdf,
 )
-
-
-class EnvelopeError(ValueError):
-    """Raised when c * proposal density fails to dominate the target density."""
 
 
 class DisjointSupportError(ValueError):
@@ -159,22 +155,15 @@ def inversion_sample(stream: SeededStream, spec, size: int | None = None):
     return out
 
 
-# points of the evenly spaced grid that envelope checks scan over a
-# proposal support; odd, so a symmetric support's midpoint is on it
-_ENVELOPE_GRID_POINTS = 10001
-
-
 def tight_envelope_constant(target: GaussianSpec, proposal: UniformSpec) -> float:
     """Smallest c with target pdf <= c * proposal pdf on the proposal support.
 
-    Scanned on an evenly spaced grid over [lo, hi]; for a Gaussian target
-    this is exact whenever the grid contains the point of the support
-    nearest the mean, which the odd-sized grid does for symmetric
-    supports.
+    A Gaussian density is highest on [lo, hi] at the support point nearest
+    the mean, so c = width * pdf(min(max(mean, lo), hi)), exactly. A support
+    that truncates the target gives c < 1.
     """
-    grid = np.linspace(proposal.lo, proposal.hi, _ENVELOPE_GRID_POINTS)
-    ratio = gaussian_pdf(grid, target) * proposal.width
-    return float(ratio.max())
+    peak = min(max(target.mean, proposal.lo), proposal.hi)
+    return proposal.width * gaussian_pdf(peak, target)
 
 
 class AcceptRejectSampler:
@@ -182,11 +171,13 @@ class AcceptRejectSampler:
 
     A candidate X is drawn uniformly on the proposal support and accepted
     when U <= f(X) / (c * u(X)), which reproduces the target density
-    restricted to the support. Construction validates the envelope
-    (f <= c * u everywhere on the support, checked on a dense grid) and
-    that the support overlaps the target's mass region at all (within
-    eight sigma of the mean); either failure is an error at build time,
-    not at sampling time.
+    restricted to the support. The envelope constant is derived, not
+    chosen: ``c`` is :func:`tight_envelope_constant`, the smallest that
+    dominates the target on the support, so each attempt is accepted with
+    the highest probability any valid envelope allows. Construction fails
+    when the support misses the target's mass region (more than eight
+    sigma from the mean) or when c is not finite and positive (a support
+    whose width overflows, or whose c underflows to 0).
 
     Every attempt consumes exactly two uniforms (candidate + test) and is
     charged ten arithmetic operations: two additions, three multiplies,
@@ -201,28 +192,22 @@ class AcceptRejectSampler:
         "comparisons": 1,
     }
 
-    def __init__(self, target: GaussianSpec, proposal: UniformSpec, c: float):
-        if not (math.isfinite(c) and c >= 1.0):
-            raise ValueError(f"envelope constant must satisfy c >= 1, got {c}")
+    def __init__(self, target: GaussianSpec, proposal: UniformSpec):
         reach = 8.0 * target.sigma
         if proposal.hi < target.mean - reach or proposal.lo > target.mean + reach:
             raise DisjointSupportError(
                 f"proposal support [{proposal.lo}, {proposal.hi}] does not overlap "
                 f"the target mass region [{target.mean - reach}, {target.mean + reach}]"
             )
-        grid = np.linspace(proposal.lo, proposal.hi, _ENVELOPE_GRID_POINTS)
-        f = gaussian_pdf(grid, target)
-        bound = c / proposal.width
-        worst = int(np.argmax(f))
-        if f[worst] > bound * (1.0 + 1e-12):
-            raise EnvelopeError(
-                f"c * proposal density ({bound:.6g}) is below the target density "
-                f"({f[worst]:.6g}) at x = {grid[worst]:.6g}; "
-                f"smallest admissible c is {f[worst] * proposal.width:.6g}"
+        c = tight_envelope_constant(target, proposal)
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(
+                f"envelope constant {c} on support [{proposal.lo}, {proposal.hi}] "
+                f"is not finite and positive"
             )
         self.target = target
         self.proposal = proposal
-        self.c = float(c)
+        self.c = c
 
     @property
     def accept_probability(self) -> float:

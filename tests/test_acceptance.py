@@ -25,7 +25,6 @@ from prva.samplers import (
     derive_seed,
     inversion_sample,
     reference_gaussian_sample,
-    tight_envelope_constant,
 )
 from prva.sensor import AdcModel, default_adc, default_grid, generate_trace
 from prva.stats import (
@@ -264,9 +263,7 @@ def test_criterion_5_operation_economy(acceptance):
         and counter.total_ops == 2 * n
     )
     target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0)
-    sampler = AcceptRejectSampler(
-        target, proposal, tight_envelope_constant(target, proposal)
-    )
+    sampler = AcceptRejectSampler(target, proposal)
     ar = OpCounter()
     sampler.sample(SeededStream(derive_seed(SEED, 51), ar), 21_000)
     attempts = ar.uniform_draws // 2
@@ -353,7 +350,7 @@ def test_criterion_7_determinism(acceptance):
         reference_gaussian_sample(SeededStream(7), SENSOR, 10_000),
         reference_gaussian_sample(SeededStream(7), SENSOR, 10_000),
     )
-    sampler = AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0), 5.0)
+    sampler = AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0))
     checks["accept-reject"] = np.array_equal(
         sampler.sample(SeededStream(7), 5_000), sampler.sample(SeededStream(7), 5_000)
     )
@@ -397,8 +394,7 @@ def test_criterion_8_brute_force_oracles(acceptance):
     area_dense = float(np.trapezoid(gaussian_pdf(dense, target), dense))
     quad_gap = abs(area_mc - area_dense)
     proposal = UniformSpec(-6.0, 6.0)
-    c = tight_envelope_constant(target, proposal)
-    sampler = AcceptRejectSampler(target, proposal, c)
+    sampler = AcceptRejectSampler(target, proposal)
     counter = OpCounter()
     n = 21_000
     sampler.sample(SeededStream(derive_seed(SEED, 81), counter), n)
@@ -406,7 +402,7 @@ def test_criterion_8_brute_force_oracles(acceptance):
     # every attempt's outcome counts, including accepted values past the
     # requested size that the sampler discards
     p_hat = (attempts - counter.rejections) / attempts
-    p = 1.0 / c
+    p = 1.0 / sampler.c
     se = math.sqrt(p * (1.0 - p) / attempts)
     gap_se = abs(p_hat - p) / se
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import multiprocessing
 import threading
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -128,7 +128,7 @@ def test_parse_source_variants():
 
 
 def test_parse_source_rejections():
-    for bad in ("uniform", "uniform:", "uniform:abc", "uniform:-3", "gaussian:2"):
+    for bad in ("uniform", "uniform:", "uniform:abc", "uniform:-3", "gaussian:2", "prva:"):
         with pytest.raises(UnknownSourceError):
             parse_source(bad)
     with pytest.raises(UnknownSourceError, match="triangular"):
@@ -276,6 +276,23 @@ def test_benchmark_replay_from_stored_trace(tmp_path):
     # replaying the same file is deterministic
     again = run_benchmark((f"prva:{path}",), TARGET, 5_000, 2, seed=2, grid=grid)
     assert again.sources[0].mean_error == src.mean_error
+
+
+def test_benchmark_replay_is_charged_only_for_delivered_codes(tmp_path):
+    grid = default_grid()
+    adc = default_adc(grid, 10.0, 2.6)
+    n = 2_000
+    trace = generate_trace(SeededStream(8), grid, 10.0, 2.6, adc, 3 * n)
+    long_path, short_path = tmp_path / "long.txt", tmp_path / "short.txt"
+    store_trace(trace, long_path)
+    store_trace(replace(trace, codes=trace.codes[:n]), short_path)
+    long_src, short_src = (
+        run_benchmark((f"prva:{p}",), TARGET, n, 2, seed=3, grid=grid).sources[0]
+        for p in (long_path, short_path)
+    )
+    assert long_src.ops == short_src.ops
+    assert long_src.ops.uniform_draws == 2 * n
+    assert long_src.mean_error == short_src.mean_error
 
 
 def test_benchmark_replay_outside_grid_self_calibrates(tmp_path):

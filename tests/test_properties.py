@@ -11,9 +11,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from prva.distributions import GaussianSpec, gaussian_pdf  # noqa: E402
+from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf  # noqa: E402
 from prva.montecarlo import mc_integrate  # noqa: E402
-from prva.samplers import SeededStream  # noqa: E402
+from prva.samplers import AcceptRejectSampler, SeededStream  # noqa: E402
 from prva.sensor import (  # noqa: E402
     AdcModel,
     SampleTrace,
@@ -189,3 +189,23 @@ def test_kernels_return_python_scalars_for_scalar_input(v, code, wraps):
     ):
         assert type(got) is kind
         assert repr(got) == repr(kind(want))  # scalar and array paths agree bit for bit
+
+
+@given(
+    mean=st.floats(min_value=-1e3, max_value=1e3),
+    sigma=st.floats(min_value=1e-3, max_value=1e3),
+    edge=st.floats(min_value=-8.0, max_value=8.0),
+    width=st.floats(min_value=1e-3, max_value=30.0),
+    edge_is_lo=st.booleans(),
+)
+def test_envelope_dominates_target_on_any_support_within_reach(
+    mean, sigma, edge, width, edge_is_lo
+):
+    # one end of the support lies within 8 sigma of the mean, so it builds
+    lo = edge if edge_is_lo else edge - width
+    target = GaussianSpec(mean, sigma)
+    proposal = UniformSpec(mean + lo * sigma, mean + (lo + width) * sigma)
+    sampler = AcceptRejectSampler(target, proposal)
+    grid = np.linspace(proposal.lo, proposal.hi, 10_001)
+    bound = sampler.c / proposal.width
+    assert gaussian_pdf(grid, target).max() <= bound * (1.0 + 1e-12)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from prva.distributions import ExponentialSpec, GaussianSpec, UniformSpec
+from prva.distributions import ExponentialSpec, GaussianSpec, UniformSpec, gaussian_pdf
 from prva.samplers import (
     AcceptRejectSampler,
     DisjointSupportError,
-    EnvelopeError,
     OpCounter,
     SeededStream,
     derive_seed,
@@ -138,25 +137,57 @@ def test_tight_envelope_constant():
     assert math.isclose(c_off, 4.0 * peak, rel_tol=1e-9)
 
 
-def test_accept_reject_envelope_violation():
+def test_tight_envelope_constant_is_exact_on_asymmetric_support():
+    # the mean is inside [-1, 6], so the peak density sits at the mean
     target = GaussianSpec(0.0, 1.0)
-    proposal = UniformSpec(-6.0, 6.0)
-    with pytest.raises(EnvelopeError):
-        AcceptRejectSampler(target, proposal, 4.0)  # needs c >= 4.787...
-    with pytest.raises(ValueError):
-        AcceptRejectSampler(target, proposal, 0.5)  # c >= 1 by definition
+    c = tight_envelope_constant(target, UniformSpec(-1.0, 6.0))
+    assert c == 7.0 * gaussian_pdf(0.0, target)
+
+
+def test_accept_reject_truncating_support_uses_tight_constant():
+    # U(2, 6) truncates N(0, 1), so the tight c is below 1
+    target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(2.0, 6.0)
+    sampler = AcceptRejectSampler(target, proposal)
+    assert sampler.c == tight_envelope_constant(target, proposal)
+    p = sampler.accept_probability
+    assert abs(p - 0.105) < 0.001
+    stream = SeededStream(11)
+    x = sampler.sample(stream, 10_000)
+    assert x.min() >= 2.0 and x.max() <= 6.0
+    attempts = stream.counter.uniform_draws // 2
+    p_hat = (attempts - stream.counter.rejections) / attempts
+    assert abs(p_hat - p) < 3.0 * math.sqrt(p * (1.0 - p) / attempts)
+
+
+def test_accept_reject_far_tail_support_returns():
+    # a fixed c = 1 here accepted with probability 3e-14; the tight c, 26%
+    sampler = AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(7.5, 8.0))
+    x = sampler.sample(SeededStream(4), 1_000)
+    assert x.size == 1_000
+    assert x.min() >= 7.5 and x.max() <= 8.0
+
+
+@pytest.mark.parametrize(
+    "target, proposal",
+    [
+        (GaussianSpec(0.0, 1e300), UniformSpec(0.0, 5e-324)),  # c underflows to 0
+        (GaussianSpec(0.0, 1.0), UniformSpec(-1e308, 1e308)),  # width overflows
+    ],
+)
+def test_accept_reject_rejects_nonfinite_or_zero_constant(target, proposal):
+    with pytest.raises(ValueError, match=r"support \["):
+        AcceptRejectSampler(target, proposal)
 
 
 def test_accept_reject_disjoint_support():
     with pytest.raises(DisjointSupportError):
-        AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(100.0, 110.0), 50.0)
+        AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(100.0, 110.0))
 
 
 def test_accept_reject_distribution():
     target = GaussianSpec(0.0, 1.0)
     proposal = UniformSpec(-6.0, 6.0)
-    c = tight_envelope_constant(target, proposal)
-    sampler = AcceptRejectSampler(target, proposal, c)
+    sampler = AcceptRejectSampler(target, proposal)
     x = sampler.sample(SeededStream(5), 200_000)
     fit = fit_gaussian(x)
     assert abs(fit.mean) < 0.015
@@ -169,19 +200,17 @@ def test_accept_reject_distribution():
 def test_accept_reject_determinism_and_scalar():
     target = GaussianSpec(0.0, 1.0)
     proposal = UniformSpec(-6.0, 6.0)
-    c = tight_envelope_constant(target, proposal)
-    a = AcceptRejectSampler(target, proposal, c).sample(SeededStream(77), 5_000)
-    b = AcceptRejectSampler(target, proposal, c).sample(SeededStream(77), 5_000)
+    a = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
+    b = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
     np.testing.assert_array_equal(a, b)
-    one = AcceptRejectSampler(target, proposal, c).sample(SeededStream(77))
+    one = AcceptRejectSampler(target, proposal).sample(SeededStream(77))
     assert isinstance(one, float)
 
 
 def test_accept_reject_op_accounting():
     target = GaussianSpec(0.0, 1.0)
     proposal = UniformSpec(-6.0, 6.0)
-    c = tight_envelope_constant(target, proposal)
-    sampler = AcceptRejectSampler(target, proposal, c)
+    sampler = AcceptRejectSampler(target, proposal)
     stream = SeededStream(3)
     n = 30_000
     x = sampler.sample(stream, n)
