@@ -105,18 +105,6 @@ def gaussian_cdf(x, spec: GaussianSpec):
     return out if out.ndim else float(out)
 
 
-def uniform_cdf(x, spec: UniformSpec):
-    x = np.asarray(x, dtype=float)
-    out = np.clip((x - spec.lo) / spec.width, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def exponential_cdf(x, spec: ExponentialSpec):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, -np.expm1(-spec.rate * np.maximum(x, 0.0)), 0.0)
-    return out if out.ndim else float(out)
-
-
 def inverse_cdf(p, spec):
     """Closed-form inverse CDF of ``spec`` evaluated at probability ``p``.
 

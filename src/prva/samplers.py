@@ -10,17 +10,19 @@ Three generation routes live here:
   used as the software baseline everywhere a trusted normal source is
   needed.
 
-All randomness is drawn through a :class:`SeededStream`, and every
-arithmetic operation a generator performs per variate is charged to an
-:class:`OpCounter`, so the relative cost of the routes can be compared
-by counting instead of by wall clock. Counters deliberately live outside
-the samplers: callers own them and may share one across stages.
+Each generator takes a required ``size`` and returns an ndarray of that
+many variates. All randomness is drawn through a :class:`SeededStream`,
+and every arithmetic operation a generator performs per variate is
+charged to an :class:`OpCounter`, so the relative cost of the routes
+can be compared by counting instead of by wall clock. Counters
+deliberately live outside the samplers: callers own them and may share
+one across stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,10 +70,10 @@ class OpCounter:
         )
 
     def copy(self) -> "OpCounter":
-        return OpCounter(**self.as_dict())
+        return replace(self)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def __add__(self, other: "OpCounter") -> "OpCounter":
         return OpCounter(
@@ -86,10 +88,7 @@ class OpCounter:
 
 def merge_counters(counters) -> OpCounter:
     """Field-wise sum of an iterable of counters (order-independent)."""
-    out = OpCounter()
-    for c in counters:
-        out = out + c
-    return out
+    return sum(counters, OpCounter())
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -106,34 +105,31 @@ def derive_seed(seed: int, *keys: int) -> int:
 class SeededStream:
     """Deterministic U[0,1) source; the package's only randomness inlet.
 
-    Wraps a PCG64 bit generator keyed by a 64-bit seed. Tracks how many
-    uniforms have been handed out (``draws_taken``) and charges each draw
-    to the attached :class:`OpCounter`. Identical seeds yield identical
-    draw sequences for identical call patterns.
+    Wraps a PCG64 bit generator keyed by a 64-bit seed and charges each
+    draw to the attached :class:`OpCounter`'s ``uniform_draws``, which is
+    the stream's only draw count. Identical seeds yield identical draw
+    sequences for identical call patterns.
     """
 
     def __init__(self, seed: int, counter: OpCounter | None = None):
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
         self.counter = counter if counter is not None else OpCounter()
-        self.draws_taken = 0
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    def uniforms(self, size: int | None = None):
-        """Draw U[0,1) variates: a float for ``size=None``, else an ndarray."""
-        n = 1 if size is None else int(size)
+    def uniforms(self, size: int) -> np.ndarray:
+        """Draw ``size`` U[0,1) variates as an ndarray."""
+        n = int(size)
         if n < 0:
             raise ValueError("size must be non-negative")
         out = self._rng.random(n)
-        self.draws_taken += n
         self.counter.uniform_draws += n
-        return float(out[0]) if size is None else out
+        return out
 
 
-def inversion_sample(stream: SeededStream, spec, size: int | None = None):
-    """Sample ``spec`` by inverse-CDF evaluation on stream uniforms.
+def inversion_sample(stream: SeededStream, spec, size: int) -> np.ndarray:
+    """Draw ``size`` variates of ``spec`` by inverse-CDF evaluation.
 
     One uniform per variate. Per-variate arithmetic is charged by family:
     the uniform costs one multiply and one add (affine map of u), the
@@ -142,7 +138,7 @@ def inversion_sample(stream: SeededStream, spec, size: int | None = None):
     :func:`prva.distributions.inverse_cdf`.
     """
     u = stream.uniforms(size)
-    n = 1 if size is None else int(size)
+    n = u.size
     out = inverse_cdf(u, spec)
     c = stream.counter
     if isinstance(spec, UniformSpec):
@@ -184,14 +180,6 @@ class AcceptRejectSampler:
     three divisions, one exponential, one comparison.
     """
 
-    _ATTEMPT_CHARGES = {
-        "additions": 2,
-        "multiplications": 3,
-        "divisions": 3,
-        "transcendental_evals": 1,
-        "comparisons": 1,
-    }
-
     def __init__(self, target: GaussianSpec, proposal: UniformSpec):
         reach = 8.0 * target.sigma
         if proposal.hi < target.mean - reach or proposal.lo > target.mean + reach:
@@ -212,13 +200,17 @@ class AcceptRejectSampler:
     @property
     def accept_probability(self) -> float:
         """Exact acceptance probability of the standard test."""
-        mass = gaussian_cdf(self.proposal.hi, self.target) - gaussian_cdf(
-            self.proposal.lo, self.target
-        )
+        lo, hi, mean = self.proposal.lo, self.proposal.hi, self.target.mean
+        # a support above the mean is reflected into the lower tail, where
+        # the erfc-based CDF keeps full precision instead of cancelling near 1
+        if lo > mean:
+            lo, hi = 2.0 * mean - hi, 2.0 * mean - lo
+        mass = gaussian_cdf(hi, self.target) - gaussian_cdf(lo, self.target)
         return mass / self.c
 
-    def sample(self, stream: SeededStream, size: int | None = None):
-        n = 1 if size is None else int(size)
+    def sample(self, stream: SeededStream, size: int) -> np.ndarray:
+        """Draw ``size`` variates of the truncated target as an ndarray."""
+        n = int(size)
         out = np.empty(n, dtype=float)
         filled = 0
         counter = stream.counter
@@ -229,21 +221,26 @@ class AcceptRejectSampler:
             x = self.proposal.lo + stream.uniforms(batch) * self.proposal.width
             u = stream.uniforms(batch)
             accept = u <= gaussian_pdf(x, self.target) / (self.c * u_density)
-            for name, per_attempt in self._ATTEMPT_CHARGES.items():
-                setattr(counter, name, getattr(counter, name) + per_attempt * batch)
+            counter.additions += 2 * batch
+            counter.multiplications += 3 * batch
+            counter.divisions += 3 * batch
+            counter.transcendental_evals += batch
+            counter.comparisons += batch
             kept = x[accept]
             counter.rejections += batch - kept.size
             take = min(kept.size, n - filled)
             out[filled : filled + take] = kept[:take]
             filled += take
-        return float(out[0]) if size is None else out
+        return out
 
 
 # candidate pairs per block of the polar sampler's kept-pair work
 _POLAR_BLOCK_PAIRS = 2**14
 
 
-def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=None):
+def reference_gaussian_sample(
+    stream: SeededStream, spec: GaussianSpec, size: int
+) -> np.ndarray:
     """Polar-method Gaussian baseline, drawn from the package's own uniforms.
 
     Pairs (x, y) uniform on [-1, 1)^2 are kept when s = x^2 + y^2 lands
@@ -258,7 +255,7 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
     the work runs in blocks of candidate pairs, so its temporaries stay
     small whatever ``size`` is.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     out = np.empty(n, dtype=float)
     filled = 0
     counter = stream.counter
@@ -305,4 +302,4 @@ def reference_gaussian_sample(stream: SeededStream, spec: GaussianSpec, size=Non
     out += spec.mean
     counter.multiplications += n
     counter.additions += n
-    return float(out[0]) if size is None else out
+    return out

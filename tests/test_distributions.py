@@ -14,11 +14,9 @@ from prva.distributions import (
     GaussianSpec,
     InverseUnavailableError,
     UniformSpec,
-    exponential_cdf,
     gaussian_cdf,
     gaussian_pdf,
     inverse_cdf,
-    uniform_cdf,
 )
 
 
@@ -98,22 +96,6 @@ def test_gaussian_cdf_values():
     assert math.isclose(tail, 7.61985302416053e-24, rel_tol=1e-10)
 
 
-def test_uniform_cdf():
-    spec = UniformSpec(2.0, 6.0)
-    assert uniform_cdf(2.0, spec) == 0.0
-    assert uniform_cdf(6.0, spec) == 1.0
-    assert uniform_cdf(4.0, spec) == 0.5
-    assert uniform_cdf(-10.0, spec) == 0.0
-    assert uniform_cdf(10.0, spec) == 1.0
-
-
-def test_exponential_cdf():
-    spec = ExponentialSpec(2.0)
-    assert exponential_cdf(0.0, spec) == 0.0
-    assert exponential_cdf(-1.0, spec) == 0.0
-    assert math.isclose(exponential_cdf(0.5, spec), 1.0 - math.exp(-1.0))
-
-
 def test_inverse_cdf_uniform():
     spec = UniformSpec(2.0, 6.0)
     assert inverse_cdf(0.0, spec) == 2.0
@@ -137,10 +119,11 @@ def test_inverse_cdf_is_right_inverse():
     uspec = UniformSpec(-1.5, 4.0)
     espec = ExponentialSpec(0.7)
     p = np.linspace(0.01, 0.99, 99)
-    np.testing.assert_allclose(uniform_cdf(inverse_cdf(p, uspec), uspec), p, atol=1e-12)
-    np.testing.assert_allclose(
-        exponential_cdf(inverse_cdf(p, espec), espec), p, atol=1e-12
-    )
+    # the closed-form CDFs: (x - lo) / width and 1 - exp(-rate x)
+    x = inverse_cdf(p, uspec)
+    np.testing.assert_allclose((x - uspec.lo) / uspec.width, p, atol=1e-12)
+    x = inverse_cdf(p, espec)
+    np.testing.assert_allclose(-np.expm1(-espec.rate * x), p, atol=1e-12)
 
 
 def test_inverse_cdf_rejects_bad_probabilities():

@@ -5,8 +5,8 @@ The polar sampler, ``AdcModel.quantize``/``value``,
 ``inverse_cdf``, ``apply`` and ``histogram`` work in place on buffers
 they own. The functions below spell out the same IEEE operations as
 plain numpy expressions, one temporary per step, and serve as the
-reference: every output bit, every ``OpCounter`` charge and every
-``draws_taken`` of the library kernels must equal theirs. The blocked
+reference: every output bit and every ``OpCounter`` charge, draws
+included, of the library kernels must equal theirs. The blocked
 ``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit. The
 ``tracemalloc`` checks at the end bound how many n-sized buffers the
 scoring kernels and the cache drain allocate.
@@ -41,8 +41,7 @@ SPEC = GaussianSpec(980.794, 7.178)
 SIZES = (None, 1, 2, 3, 17, 100, 10**5, 10**6)
 
 
-def polar_expression(stream, spec, size=None):
-    n = 1 if size is None else int(size)
+def polar_expression(stream, spec, n):
     out = np.empty(n, dtype=float)
     filled = 0
     counter = stream.counter
@@ -71,7 +70,7 @@ def polar_expression(stream, spec, size=None):
     out = spec.mean + spec.sigma * out
     counter.multiplications += n
     counter.additions += n
-    return float(out[0]) if size is None else out
+    return out
 
 
 def first_round_pairs(remaining):
@@ -122,11 +121,10 @@ def assert_identical(got, want):
 
 
 def assert_same_streams(got, want):
-    assert got.draws_taken == want.draws_taken
     assert got.counter.as_dict() == want.counter.as_dict()
 
 
-@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("size", [s for s in SIZES if s is not None])
 @pytest.mark.parametrize("seed", [0, 2024])
 def test_polar_sampler_matches_expression_form(seed, size):
     got_stream, want_stream = SeededStream(seed), SeededStream(seed)
@@ -144,7 +142,7 @@ def test_polar_sampler_matches_when_first_round_falls_short(n):
     for seed in range(2000):
         stream = SeededStream(seed)
         polar_expression(stream, SPEC, n)
-        if stream.draws_taken > 2 * first_round_pairs(n):
+        if stream.counter.uniform_draws > 2 * first_round_pairs(n):
             short = seed
             break
     assert short is not None, f"no seed in 0..1999 gives a short first round at n={n}"
@@ -265,6 +263,11 @@ def histogram_counts_expression(samples, bins, lo, hi):
     return np.bincount(idx, minlength=bins)
 
 
+def drawn(draw, size):
+    """``draw(size)``, or the float ``draw(1)[0]`` when ``size`` is None."""
+    return float(draw(1)[0]) if size is None else draw(size)
+
+
 def scoring_inputs(seed, size):
     """Named samples of ``size`` (a float for None) scored against N(0, 1).
 
@@ -274,8 +277,8 @@ def scoring_inputs(seed, size):
     width; ``huge`` has |z| > 1e154, whose square overflows; ``subnormal``
     has subnormal z.
     """
-    g = reference_gaussian_sample(SeededStream(seed), STANDARD, size)
-    u = inversion_sample(SeededStream(seed + 1), UniformSpec(-1000.0, 1000.0), size)
+    g = drawn(lambda k: reference_gaussian_sample(SeededStream(seed), STANDARD, k), size)
+    u = drawn(lambda k: inversion_sample(SeededStream(seed + 1), UniformSpec(-1000.0, 1000.0), k), size)
     return {
         "gaussian": g,
         "uniform_1000": u,
@@ -328,7 +331,7 @@ def test_mc_integrate_matches_expression_form(seed, size):
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("seed", [0, 2024])
 def test_inverse_cdf_matches_expression_form(seed, size):
-    p = SeededStream(seed).uniforms(size)
+    p = drawn(SeededStream(seed).uniforms, size)
     for spec in (UniformSpec(-3.0, 3.0), UniformSpec(1e-3, 7e5), ExponentialSpec(0.7), ExponentialSpec(1e300)):
         assert_identical(inverse_cdf(p, spec), inverse_cdf_expression(p, spec))
     edges = np.array([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5, -0.0])

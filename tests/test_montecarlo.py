@@ -13,7 +13,6 @@ import pytest
 from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.montecarlo import (
-    IntegrationResult,
     UnknownSourceError,
     mc_integrate,
     parse_source,
@@ -107,11 +106,6 @@ def test_integrate_rejects_a_peak_that_overflows(x):
 def test_integrate_accepts_the_widest_finite_span():
     r = mc_integrate([-8e307, 8e307], GaussianSpec(0.0, 1.0))
     assert r.area == 0.0 and r.error == 1.0
-
-
-def test_result_rejects_inconsistent_error():
-    with pytest.raises(ValueError):
-        IntegrationResult(area=0.9, error=0.2, n=2)
 
 
 def test_parse_source_variants():

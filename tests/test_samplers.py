@@ -24,21 +24,17 @@ class ScriptedStream:
     def __init__(self, values):
         self._values = list(values)
         self.counter = OpCounter()
-        self.draws_taken = 0
 
-    def uniforms(self, size=None):
-        n = 1 if size is None else int(size)
-        out = np.array([self._values.pop(0) for _ in range(n)])
-        self.draws_taken += n
-        self.counter.uniform_draws += n
-        return float(out[0]) if size is None else out
+    def uniforms(self, size):
+        out = np.array([self._values.pop(0) for _ in range(size)])
+        self.counter.uniform_draws += size
+        return out
 
 
 def test_seeded_stream_determinism_and_draw_count():
     a = SeededStream(42)
     b = SeededStream(42)
     np.testing.assert_array_equal(a.uniforms(100), b.uniforms(100))
-    assert a.draws_taken == 100
     assert a.counter.uniform_draws == 100
     # frozen first draws guard against a silent generator change
     first = SeededStream(42).uniforms(3)
@@ -48,7 +44,18 @@ def test_seeded_stream_determinism_and_draw_count():
         rtol=0,
         atol=0,
     )
-    assert SeededStream(42).uniforms() == pytest.approx(0.7739560485559633, abs=0)
+
+
+def test_seeded_stream_empty_and_negative_sizes():
+    stream = SeededStream(42)
+    empty = stream.uniforms(0)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert stream.counter.as_dict() == OpCounter().as_dict()
+    with pytest.raises(ValueError, match="non-negative"):
+        stream.uniforms(-1)
+    assert stream.counter.uniform_draws == 0
+    # an empty draw leaves the sequence where it was
+    assert stream.uniforms(1)[0] == 0.7739560485559633
 
 
 def test_seeded_stream_rejects_bad_seeds():
@@ -77,10 +84,40 @@ def test_op_counter_arithmetic():
     assert a.total_ops == 5  # draws and rejections are not arithmetic
 
 
+def test_op_counter_copy_is_independent_and_dict_keeps_field_order():
+    a = OpCounter(multiplications=2, additions=3, uniform_draws=5)
+    snap = a.copy()
+    assert snap is not a and snap == a
+    a.multiplications += 7
+    snap.rejections += 1
+    assert snap.multiplications == 2 and a.rejections == 0
+    # the tracer's span diffs and the benchmark CSV's ops columns read
+    # fields in declaration order
+    assert list(a.as_dict()) == [
+        "multiplications",
+        "additions",
+        "divisions",
+        "comparisons",
+        "transcendental_evals",
+        "uniform_draws",
+        "rejections",
+    ]
+    assert (a - snap).as_dict() == {
+        "multiplications": 7,
+        "additions": 0,
+        "divisions": 0,
+        "comparisons": 0,
+        "transcendental_evals": 0,
+        "uniform_draws": 0,
+        "rejections": -1,
+    }
+    assert merge_counters([]).as_dict() == OpCounter().as_dict()
+
+
 def test_inversion_uniform_forced_midpoint():
     stream = ScriptedStream([0.5])
-    assert inversion_sample(stream, UniformSpec(2.0, 6.0)) == 4.0
-    assert stream.draws_taken == 1
+    assert inversion_sample(stream, UniformSpec(2.0, 6.0), 1).tolist() == [4.0]
+    assert stream.counter.uniform_draws == 1
 
 
 def test_inversion_exponential_forced_points():
@@ -203,8 +240,9 @@ def test_accept_reject_determinism_and_scalar():
     a = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
     b = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
     np.testing.assert_array_equal(a, b)
-    one = AcceptRejectSampler(target, proposal).sample(SeededStream(77))
-    assert isinstance(one, float)
+    # one variate is still an array
+    one = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 1)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
 def test_accept_reject_op_accounting():
@@ -217,10 +255,20 @@ def test_accept_reject_op_accounting():
     counter = stream.counter
     assert counter.uniform_draws % 2 == 0
     attempts = counter.uniform_draws // 2
-    # exactly two draws per attempt, at least ten ops per attempt
     assert attempts >= n
-    assert counter.total_ops >= 10 * attempts
     assert counter.rejections <= attempts - n
+    # per attempt exactly: 2 uniforms, 2 additions, 3 multiplies,
+    # 3 divisions, 1 comparison and 1 exponential
+    want = OpCounter(
+        multiplications=3 * attempts,
+        additions=2 * attempts,
+        divisions=3 * attempts,
+        comparisons=attempts,
+        transcendental_evals=attempts,
+        uniform_draws=2 * attempts,
+        rejections=counter.rejections,
+    )
+    assert counter.as_dict() == want.as_dict()
     # observed acceptance rate near the analytic one
     p = sampler.accept_probability
     p_hat = (attempts - counter.rejections) / attempts
@@ -252,8 +300,10 @@ def test_polar_determinism_and_frozen_values():
         rtol=0,
         atol=0,
     )
-    one = reference_gaussian_sample(SeededStream(42), GaussianSpec(0.0, 1.0))
-    assert one == a[0]
+    # one variate is still an array, and a size this small draws the same
+    # first round of candidate pairs
+    one = reference_gaussian_sample(SeededStream(42), GaussianSpec(0.0, 1.0), 1)
+    assert one.tolist() == [a[0]]
 
 
 def test_polar_rejection_accounting():
@@ -265,3 +315,17 @@ def test_polar_rejection_accounting():
     # unit-square-to-disc rejection rate is 1 - pi/4
     assert abs(rate - (1.0 - math.pi / 4.0)) < 0.01
     assert counter.transcendental_evals > 0
+
+
+def test_accept_reject_upper_tail_acceptance_keeps_precision():
+    # a support above the mean used to subtract two CDF values near 1:
+    # on U(7.99, 8) the probability came out 0.0, and one variate drew
+    # 2,300,032 uniforms
+    target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(7.99, 8.0)
+    sampler = AcceptRejectSampler(target, proposal)
+    mass = 0.5 * (math.erfc(7.99 / math.sqrt(2.0)) - math.erfc(8.0 / math.sqrt(2.0)))
+    assert math.isclose(sampler.accept_probability, mass / sampler.c, rel_tol=1e-12)
+    stream = SeededStream(1)
+    x = sampler.sample(stream, 1)
+    assert 7.99 <= x[0] <= 8.0
+    assert stream.counter.uniform_draws <= 64

@@ -31,13 +31,10 @@ class HalfStream:
 
     def __init__(self):
         self.counter = OpCounter()
-        self.draws_taken = 0
 
-    def uniforms(self, size=None):
-        n = 1 if size is None else int(size)
-        self.draws_taken += n
-        self.counter.uniform_draws += n
-        return 0.5 if size is None else np.full(n, 0.5)
+    def uniforms(self, size):
+        self.counter.uniform_draws += size
+        return np.full(size, 0.5)
 
 
 # --- ADC ---------------------------------------------------------------
@@ -328,7 +325,7 @@ def test_dequantize_charges_draws_and_ops():
     trace = SampleTrace(np.arange(8), adc, 10.0, 2.6)
     stream = SeededStream(1)
     dequantize_with_jitter(trace, stream)
-    assert stream.draws_taken == 8
+    assert stream.counter.uniform_draws == 8
     assert stream.counter.multiplications == 16
     assert stream.counter.additions == 16
 

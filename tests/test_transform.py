@@ -106,7 +106,7 @@ def test_compensate_off_grid_raises_before_drawing_jitter():
     stream = SeededStream(3)
     with pytest.raises(GridRangeError):
         compensate(hot, grid, stream=stream)
-    assert stream.draws_taken == 0
+    assert stream.counter.uniform_draws == 0
 
 
 def test_compensate_self_calibration_centers_exactly():
