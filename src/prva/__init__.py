@@ -11,15 +11,7 @@ Monte Carlo integration workload (:mod:`prva.montecarlo`).
 
 __version__ = "0.1.0"
 
-from .distributions import (
-    ExponentialSpec,
-    GaussianSpec,
-    InverseUnavailableError,
-    UniformSpec,
-    gaussian_cdf,
-    gaussian_pdf,
-    inverse_cdf,
-)
+from .distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
 from .samplers import (
     AcceptRejectSampler,
     DisjointSupportError,
@@ -80,12 +72,10 @@ __all__ = [
     "CacheClosed",
     "CalibrationGrid",
     "DisjointSupportError",
-    "ExponentialSpec",
     "FitResult",
     "GaussianSpec",
     "Histogram",
     "IntegrationResult",
-    "InverseUnavailableError",
     "OpCounter",
     "SampleTrace",
     "SeededStream",
@@ -106,7 +96,6 @@ __all__ = [
     "gaussian_pdf",
     "generate_trace",
     "histogram",
-    "inverse_cdf",
     "inversion_sample",
     "kl_divergence",
     "load_calibration",

@@ -1,4 +1,4 @@
-"""Distribution parameter types, densities, and closed-form inverse CDFs.
+"""Distribution parameter types, the Gaussian density and the Gaussian CDF.
 
 Every sampler in the package is parameterized by one of the small frozen
 spec types below rather than by bare floats, so that a distribution choice
@@ -15,17 +15,12 @@ import numpy as np
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-class InverseUnavailableError(ValueError):
-    """Raised for distribution families without a closed-form inverse CDF."""
-
-
 @dataclass(frozen=True)
 class GaussianSpec:
     """Normal distribution with mean ``mean`` and standard deviation ``sigma``."""
 
     mean: float
     sigma: float
-    family = "gaussian"
 
     def __post_init__(self):
         if not math.isfinite(self.mean):
@@ -40,7 +35,6 @@ class UniformSpec:
 
     lo: float
     hi: float
-    family = "uniform"
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -51,18 +45,6 @@ class UniformSpec:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class ExponentialSpec:
-    """Exponential distribution with rate parameter ``rate`` (mean 1/rate)."""
-
-    rate: float
-    family = "exponential"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
 
 def gaussian_pdf(x, spec: GaussianSpec):
@@ -104,37 +86,3 @@ def gaussian_cdf(x, spec: GaussianSpec):
     out = 0.5 * _erfc(-z / math.sqrt(2.0))
     return out if out.ndim else float(out)
 
-
-def inverse_cdf(p, spec):
-    """Closed-form inverse CDF of ``spec`` evaluated at probability ``p``.
-
-    Supports the uniform and exponential families. ``p`` must lie in
-    [0, 1]; for the exponential, p = 1 maps to +inf. Families without a
-    closed-form inverse (the Gaussian in particular) raise
-    InverseUnavailableError — use a sampler from :mod:`prva.samplers`
-    for those instead.
-    """
-    p_arr = np.asarray(p, dtype=float)
-    # a NaN propagates through min and max and fails both comparisons
-    if p_arr.size and not (p_arr.min() >= 0.0 and p_arr.max() <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    # lo + p * width and -log1p(-p) / rate, in place on one output buffer
-    if isinstance(spec, UniformSpec):
-        out = np.multiply(p_arr, spec.width, out=np.empty_like(p_arr))
-        out += spec.lo
-    elif isinstance(spec, ExponentialSpec):
-        out = np.negative(p_arr, out=np.empty_like(p_arr))
-        with np.errstate(divide="ignore"):
-            np.log1p(out, out=out)
-        np.negative(out, out=out)
-        out /= spec.rate
-    elif isinstance(spec, GaussianSpec):
-        raise InverseUnavailableError(
-            "no closed-form inverse CDF for family 'gaussian'; "
-            "use an accept-reject or reference sampler"
-        )
-    else:
-        raise InverseUnavailableError(
-            f"no closed-form inverse CDF for family {getattr(spec, 'family', type(spec).__name__)!r}"
-        )
-    return out if out.ndim else float(out)

@@ -2,8 +2,8 @@
 
 Three generation routes live here:
 
-* :func:`inversion_sample` — closed-form inverse-CDF sampling for the
-  families that admit one.
+* :func:`inversion_sample` — inverse-CDF sampling of a uniform
+  distribution, the affine map lo + u * width.
 * :class:`AcceptRejectSampler` — rejection sampling of a Gaussian target
   under the tightest scaled uniform envelope.
 * :func:`reference_gaussian_sample` — a polar-method Gaussian generator
@@ -26,14 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .distributions import (
-    ExponentialSpec,
-    GaussianSpec,
-    UniformSpec,
-    gaussian_cdf,
-    gaussian_pdf,
-    inverse_cdf,
-)
+from .distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
 
 
 class DisjointSupportError(ValueError):
@@ -128,26 +121,17 @@ class SeededStream:
         return out
 
 
-def inversion_sample(stream: SeededStream, spec, size: int) -> np.ndarray:
-    """Draw ``size`` variates of ``spec`` by inverse-CDF evaluation.
+def inversion_sample(stream: SeededStream, spec: UniformSpec, size: int) -> np.ndarray:
+    """Draw ``size`` variates of ``spec`` by inverting its CDF: lo + u * width.
 
-    One uniform per variate. Per-variate arithmetic is charged by family:
-    the uniform costs one multiply and one add (affine map of u), the
-    exponential costs a subtraction, a log, and a division. Families
-    without a closed-form inverse propagate InverseUnavailableError from
-    :func:`prva.distributions.inverse_cdf`.
+    One uniform per variate, mapped in place on the draw and charged one
+    multiply and one add.
     """
-    u = stream.uniforms(size)
-    n = u.size
-    out = inverse_cdf(u, spec)
-    c = stream.counter
-    if isinstance(spec, UniformSpec):
-        c.multiplications += n
-        c.additions += n
-    elif isinstance(spec, ExponentialSpec):
-        c.additions += n
-        c.transcendental_evals += n
-        c.divisions += n
+    out = stream.uniforms(size)
+    out *= spec.width
+    out += spec.lo
+    stream.counter.multiplications += out.size
+    stream.counter.additions += out.size
     return out
 
 

@@ -239,6 +239,11 @@ def unit_code_binning(samples) -> Histogram:
     The bin count is the sample span rounded to the nearest integer (at
     least 2), so for data in raw ADC code units each bin is one code
     wide. This is the native resolution for scoring a sensor trace.
+
+    A span that asks for more bins than there are samples, and more than
+    one 2**16-value block, raises ``ValueError`` before the counts are
+    allocated: such a histogram is mostly empty bins, and a wide enough
+    span would not fit in memory.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -247,6 +252,11 @@ def unit_code_binning(samples) -> Histogram:
     if hi == lo:
         raise DegenerateDataError("samples have zero span")
     bins = max(2, int(round(hi - lo)))
+    if bins > max(x.size, _BLOCK):
+        raise ValueError(
+            f"unit-code binning of {x.size} samples over a span of {hi - lo!r} "
+            f"needs {bins} bins, more than max(samples, {_BLOCK})"
+        )
     return histogram(x, bins, (lo, hi))
 
 

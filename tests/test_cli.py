@@ -94,6 +94,16 @@ def test_kl_uniform_mode_lands_in_band(capsys):
     assert "kl_ci90" in fields
 
 
+def test_kl_uniform_too_wide_for_unit_bins_fails_cleanly(capsys):
+    # +/-1e9 sigma over unit-width bins would need about 1.4e10 of them
+    code, out, err = run_cli(
+        capsys, "kl", "--source", "uniform", "--half-width", "1e9", "--n", "1000"
+    )
+    assert code == 1
+    assert err.startswith("error:") and "bins" in err
+    assert out == ""
+
+
 def test_kl_stdout_is_deterministic(capsys):
     args = ["kl", "--source", "gaussian", "--n", "20000", "--repetitions", "3",
             "--seed", "9"]

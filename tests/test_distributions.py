@@ -9,15 +9,7 @@ import numpy as np
 import pytest
 
 import prva
-from prva.distributions import (
-    ExponentialSpec,
-    GaussianSpec,
-    InverseUnavailableError,
-    UniformSpec,
-    gaussian_cdf,
-    gaussian_pdf,
-    inverse_cdf,
-)
+from prva.distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
 
 
 def test_spec_validation():
@@ -31,10 +23,6 @@ def test_spec_validation():
         UniformSpec(2.0, 2.0)
     with pytest.raises(ValueError):
         UniformSpec(5.0, 1.0)
-    with pytest.raises(ValueError):
-        ExponentialSpec(0.0)
-    with pytest.raises(ValueError):
-        ExponentialSpec(-3.0)
 
 
 def test_gaussian_pdf_peak_and_symmetry():
@@ -94,51 +82,6 @@ def test_gaussian_cdf_values():
     tail = gaussian_cdf(-10.0, std)
     assert 0.0 < tail < 1e-22
     assert math.isclose(tail, 7.61985302416053e-24, rel_tol=1e-10)
-
-
-def test_inverse_cdf_uniform():
-    spec = UniformSpec(2.0, 6.0)
-    assert inverse_cdf(0.0, spec) == 2.0
-    assert inverse_cdf(1.0, spec) == 6.0
-    assert inverse_cdf(0.5, spec) == 4.0
-    out = inverse_cdf(np.array([0.0, 0.25, 1.0]), spec)
-    np.testing.assert_allclose(out, [2.0, 3.0, 6.0])
-
-
-def test_inverse_cdf_exponential():
-    spec = ExponentialSpec(1.0)
-    assert math.isclose(inverse_cdf(0.5, spec), math.log(2.0))
-    assert math.isclose(inverse_cdf(1.0 - math.exp(-1.0), spec), 1.0)
-    assert inverse_cdf(0.0, spec) == 0.0
-    assert inverse_cdf(1.0, spec) == math.inf
-    rate3 = ExponentialSpec(3.0)
-    assert math.isclose(inverse_cdf(0.5, rate3), math.log(2.0) / 3.0)
-
-
-def test_inverse_cdf_is_right_inverse():
-    uspec = UniformSpec(-1.5, 4.0)
-    espec = ExponentialSpec(0.7)
-    p = np.linspace(0.01, 0.99, 99)
-    # the closed-form CDFs: (x - lo) / width and 1 - exp(-rate x)
-    x = inverse_cdf(p, uspec)
-    np.testing.assert_allclose((x - uspec.lo) / uspec.width, p, atol=1e-12)
-    x = inverse_cdf(p, espec)
-    np.testing.assert_allclose(-np.expm1(-espec.rate * x), p, atol=1e-12)
-
-
-def test_inverse_cdf_rejects_bad_probabilities():
-    spec = UniformSpec(0.0, 1.0)
-    with pytest.raises(ValueError):
-        inverse_cdf(-0.1, spec)
-    with pytest.raises(ValueError):
-        inverse_cdf(1.1, spec)
-    with pytest.raises(ValueError):
-        inverse_cdf(np.array([0.5, math.nan]), spec)
-
-
-def test_inverse_cdf_refuses_gaussian_by_name():
-    with pytest.raises(InverseUnavailableError, match="gaussian"):
-        inverse_cdf(0.5, GaussianSpec(0.0, 1.0))
 
 
 def test_import_does_not_load_scipy():

@@ -2,14 +2,14 @@
 
 The polar sampler, ``AdcModel.quantize``/``value``,
 ``dequantize_with_jitter``, ``gaussian_pdf``, ``mc_integrate``,
-``inverse_cdf``, ``apply`` and ``histogram`` work in place on buffers
-they own. The functions below spell out the same IEEE operations as
-plain numpy expressions, one temporary per step, and serve as the
-reference: every output bit and every ``OpCounter`` charge, draws
-included, of the library kernels must equal theirs. The blocked
-``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit. The
-``tracemalloc`` checks at the end bound how many n-sized buffers the
-scoring kernels and the cache drain allocate.
+``inversion_sample``, ``apply`` and ``histogram`` work in place on
+buffers they own. The functions below spell out the same IEEE
+operations as plain numpy expressions, one temporary per step, and
+serve as the reference: every output bit and every ``OpCounter``
+charge, draws included, of the library kernels must equal theirs. The
+blocked ``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit.
+The ``tracemalloc`` checks at the end bound how many n-sized buffers
+the scoring kernels, the uniform inverter and the cache drain allocate.
 """
 
 import math
@@ -18,15 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prva.distributions import (
-    ExponentialSpec,
-    GaussianSpec,
-    UniformSpec,
-    gaussian_pdf,
-    inverse_cdf,
-)
+from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
 from prva.montecarlo import mc_integrate
-from prva.samplers import SeededStream, inversion_sample, reference_gaussian_sample
+from prva.samplers import OpCounter, SeededStream, inversion_sample, reference_gaussian_sample
 from prva.sensor import (
     AdcModel,
     default_adc,
@@ -218,8 +212,8 @@ def test_generate_trace_codes_match_expression_form(n):
     assert_same_streams(got_stream, want_stream)
 
 
-# --- the scoring kernels: gaussian_pdf, mc_integrate, inverse_cdf, apply,
-# histogram ---------------------------------------------------------------
+# --- the kernels on the benchmark path: gaussian_pdf, mc_integrate,
+# inversion_sample, apply, histogram --------------------------------------
 
 STANDARD = GaussianSpec(0.0, 1.0)
 
@@ -238,16 +232,25 @@ def mc_integrate_area_expression(samples, target):
     return float(np.sum((x[1:] - x[:-1]) * (f[1:] + f[:-1])) * 0.5)
 
 
-def inverse_cdf_expression(p, spec):
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0) or np.any(np.isnan(p_arr)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if isinstance(spec, UniformSpec):
-        out = spec.lo + p_arr * spec.width
-    else:
-        with np.errstate(divide="ignore"):
-            out = -np.log1p(-p_arr) / spec.rate
-    return out if out.ndim else float(out)
+def inversion_expression(stream, spec, n):
+    u = stream.uniforms(n)
+    out = spec.lo + u * spec.width
+    stream.counter.multiplications += n
+    stream.counter.additions += n
+    return out
+
+
+class FixedStream:
+    """Stream double whose one draw is ``values``, charged as a real draw is."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.counter = OpCounter()
+
+    def uniforms(self, size):
+        assert size == self.values.size
+        self.counter.uniform_draws += size
+        return self.values.copy()
 
 
 def apply_expression(coeffs, x):
@@ -328,25 +331,31 @@ def test_mc_integrate_matches_expression_form(seed, size):
         assert_identical(mc_integrate(x.reshape(2, -1), STANDARD).area, flat)
 
 
-@pytest.mark.parametrize("size", SIZES)
+# inversion_sample evaluates the uniform inverse CDF, lo + u * width
+
+UNIFORMS = (UniformSpec(-3.0, 3.0), UniformSpec(1e-3, 7e5))
+
+
+@pytest.mark.parametrize("size", [s for s in SIZES if s is not None])
 @pytest.mark.parametrize("seed", [0, 2024])
 def test_inverse_cdf_matches_expression_form(seed, size):
-    p = drawn(SeededStream(seed).uniforms, size)
-    for spec in (UniformSpec(-3.0, 3.0), UniformSpec(1e-3, 7e5), ExponentialSpec(0.7), ExponentialSpec(1e300)):
-        assert_identical(inverse_cdf(p, spec), inverse_cdf_expression(p, spec))
-    edges = np.array([0.0, 1.0, 5e-324, 1.0 - 2**-53, 0.5, -0.0])
-    for q in (edges, edges.reshape(2, 3), np.array([]), 0.0, 1.0, 5e-324):
-        for spec in (UniformSpec(-3.0, 3.0), ExponentialSpec(2.0)):
-            assert_identical(inverse_cdf(q, spec), inverse_cdf_expression(q, spec))
+    for spec in UNIFORMS:
+        got_stream, want_stream = SeededStream(seed), SeededStream(seed)
+        got = inversion_sample(got_stream, spec, size)
+        want = inversion_expression(want_stream, spec, size)
+        assert_identical(got, want)
+        assert_same_streams(got_stream, want_stream)
 
 
-@pytest.mark.parametrize("bad", [[0.5, -1e-300], [1.0 + 2**-52, 0.5], [0.5, math.nan], math.nan, -0.1, [math.inf]])
-def test_inverse_cdf_rejects_what_the_expression_form_rejects(bad):
-    for spec in (UniformSpec(-3.0, 3.0), ExponentialSpec(2.0)):
-        with pytest.raises(ValueError, match="must lie in"):
-            inverse_cdf_expression(bad, spec)
-        with pytest.raises(ValueError, match="must lie in"):
-            inverse_cdf(bad, spec)
+def test_inverse_cdf_matches_expression_form_at_the_edges():
+    edges = [0.0, -0.0, 5e-324, 0.5, 1.0 - 2**-53]
+    for values in (edges, []):
+        for spec in UNIFORMS:
+            got_stream, want_stream = FixedStream(values), FixedStream(values)
+            got = inversion_sample(got_stream, spec, len(values))
+            want = inversion_expression(want_stream, spec, len(values))
+            assert_identical(got, want)
+            assert_same_streams(got_stream, want_stream)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -414,6 +423,13 @@ def test_gaussian_pdf_allocates_only_its_output():
     x = reference_gaussian_sample(SeededStream(1), STANDARD, n)
     # 1 buffer (the returned density); the expression form takes 3
     assert traced_peak_bytes(gaussian_pdf, x, STANDARD) <= 1 * 8 * n + SLACK
+
+
+def test_inversion_sample_allocates_only_its_draw():
+    n = 10**6
+    # 1 buffer (the draw, mapped in place); a separate output takes 2
+    peak = traced_peak_bytes(inversion_sample, SeededStream(1), UNIFORMS[0], n)
+    assert peak <= 1 * 8 * n + SLACK
 
 
 def test_mc_integrate_allocates_two_buffers():

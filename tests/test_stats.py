@@ -193,6 +193,13 @@ def test_unit_code_binning_span_rule():
     assert h2.bins == 2
     with pytest.raises(DegenerateDataError):
         unit_code_binning(np.array([3.0, 3.0]))
+    # one bin per unit is allowed up to max(samples, 2**16) bins; past
+    # that the span is refused before any count is allocated
+    assert unit_code_binning(np.array([0.0, 2.0**16])).bins == 2**16
+    with pytest.raises(ValueError, match=r"2 samples .* 10000000 bins"):
+        unit_code_binning(np.array([0.0, 1e7]))
+    with pytest.raises(ValueError, match="65537 bins"):
+        unit_code_binning(np.array([0.0, 2.0**16 + 1]))
 
 
 def test_unit_code_kl_uniform_regime():
