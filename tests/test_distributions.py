@@ -10,6 +10,7 @@ import pytest
 
 import prva
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
+from prva.samplers import OpCounter, inversion_sample
 
 
 def test_spec_validation():
@@ -82,6 +83,26 @@ def test_gaussian_cdf_values():
     tail = gaussian_cdf(-10.0, std)
     assert 0.0 < tail < 1e-22
     assert math.isclose(tail, 7.61985302416053e-24, rel_tol=1e-10)
+
+
+class ForcedStream:
+    """Stream double that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = np.array(values, dtype=float)
+        self.counter = OpCounter()
+
+    def uniforms(self, size):
+        out, self._values = self._values[:size].copy(), self._values[size:]
+        self.counter.uniform_draws += size
+        return out
+
+
+def test_inverse_cdf_uniform():
+    # the uniform inverse CDF lo + u * width, at u = 0, 1/4, 1/2 and 1
+    spec = UniformSpec(2.0, 6.0)
+    out = inversion_sample(ForcedStream([0.0, 0.25, 0.5, 1.0]), spec, 4)
+    np.testing.assert_array_equal(out, [2.0, 3.0, 4.0, 6.0])
 
 
 def test_import_does_not_load_scipy():

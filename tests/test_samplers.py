@@ -115,10 +115,9 @@ def test_op_counter_copy_is_independent_and_dict_keeps_field_order():
 
 
 def test_inversion_uniform_forced_midpoint():
-    # u = 0 maps to lo, u = 0.25 a quarter of the width above it
-    stream = ScriptedStream([0.0, 0.25, 0.5])
-    assert inversion_sample(stream, UniformSpec(2.0, 6.0), 3).tolist() == [2.0, 3.0, 4.0]
-    assert stream.counter.uniform_draws == 3
+    stream = ScriptedStream([0.5])
+    assert inversion_sample(stream, UniformSpec(2.0, 6.0), 1).tolist() == [4.0]
+    assert stream.counter.uniform_draws == 1
 
 
 def test_inversion_is_right_inverse():
