@@ -25,6 +25,7 @@ import numpy as np
 from .distributions import GaussianSpec, UniformSpec
 from .samplers import SeededStream, derive_seed, inversion_sample, reference_gaussian_sample
 from .sensor import (
+    DEFAULT_SAMPLE_RATE_HZ,
     default_adc,
     default_grid,
     generate_trace,
@@ -47,28 +48,23 @@ from .montecarlo import run_benchmark
 _CACHE_CAPACITY = 65_536
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_in(lo: int, hi: float, message: str):
+    """argparse type: an integer in [lo, hi), refused with ``message`` outside it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
-
-
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed_int, default=0, help="master seed")
+_positive_int = _int_in(1, float("inf"), "must be a positive integer")
+_seed_int = _int_in(0, 2**64, "seed must be a 64-bit unsigned integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,20 +74,33 @@ def build_parser() -> argparse.ArgumentParser:
         "sensor noise source.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers for the options several subcommands share
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed_int, default=0, help="master seed")
+    site = argparse.ArgumentParser(add_help=False)
+    site.add_argument("--temp", type=float, default=10.0, help="die temperature, C")
+    site.add_argument("--volt", type=float, default=2.6, help="supply voltage, V")
+    site.add_argument("--grid", help="calibration CSV (default: synthetic)")
+    adc = argparse.ArgumentParser(add_help=False)
+    adc.add_argument("--bits", type=_positive_int, default=12, help="ADC resolution")
+    adc.add_argument("--span-sigmas", type=float, default=4.0, help="ADC half-range")
+    gaussian = argparse.ArgumentParser(add_help=False)
+    gaussian.add_argument("--mean", type=float, default=980.794, help="synthetic mean")
+    gaussian.add_argument("--sigma", type=float, default=7.178, help="synthetic sigma")
 
-    p = sub.add_parser("generate", help="simulate an acquisition, write a trace file")
-    p.add_argument("--temp", type=float, default=10.0, help="die temperature, C")
-    p.add_argument("--volt", type=float, default=2.6, help="supply voltage, V")
+    p = sub.add_parser(
+        "generate",
+        parents=[seed, site, adc],
+        help="simulate an acquisition, write a trace file",
+    )
     p.add_argument("--n", type=_positive_int, required=True, help="number of codes")
     p.add_argument("--out", required=True, help="trace file to write")
-    p.add_argument("--grid", default=None, help="calibration CSV (default: synthetic)")
-    p.add_argument("--bits", type=_positive_int, default=12, help="ADC resolution")
-    p.add_argument("--span-sigmas", type=float, default=4.0, help="ADC half-range")
-    p.add_argument("--sample-rate", type=float, default=1154.0, help="Hz, metadata")
+    p.add_argument(
+        "--sample-rate", type=float, default=DEFAULT_SAMPLE_RATE_HZ, help="Hz, metadata"
+    )
     p.add_argument("--label", default="synthetic", help="source field of the header")
-    _add_seed(p)
 
-    p = sub.add_parser("kl", help="sensor-native KL score")
+    p = sub.add_parser("kl", parents=[seed, gaussian], help="sensor-native KL score")
     p.add_argument("--trace", default=None, help="score this trace file")
     p.add_argument(
         "--source",
@@ -99,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         help="synthetic batch family (ignored with --trace)",
     )
-    p.add_argument("--mean", type=float, default=980.794, help="synthetic mean")
-    p.add_argument("--sigma", type=float, default=7.178, help="synthetic sigma")
     p.add_argument(
         "--half-width",
         type=float,
@@ -109,36 +116,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--repetitions", type=_positive_int, default=10)
-    _add_seed(p)
 
-    p = sub.add_parser("sweep", help="mean KL vs histogram resolution")
-    p.add_argument("--mean", type=float, default=980.794)
-    p.add_argument("--sigma", type=float, default=7.178)
+    p = sub.add_parser(
+        "sweep", parents=[seed, gaussian], help="mean KL vs histogram resolution"
+    )
     p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--bins", default="16,64,256,1024,4096", help="comma list")
     p.add_argument("--repetitions", type=_positive_int, default=20)
     p.add_argument("--out", default=None, help="also write rows to this CSV")
-    _add_seed(p)
 
-    p = sub.add_parser("transform", help="compensate a trace, retarget, drain cache")
+    p = sub.add_parser(
+        "transform",
+        parents=[seed, site, adc],
+        help="compensate a trace, retarget, drain cache",
+    )
     p.add_argument("--trace", default=None, help="trace to transform (default: synthesize)")
-    p.add_argument("--temp", type=float, default=10.0)
-    p.add_argument("--volt", type=float, default=2.6)
     p.add_argument("--n", type=_positive_int, default=100_000)
-    p.add_argument("--bits", type=_positive_int, default=12)
-    p.add_argument("--span-sigmas", type=float, default=4.0)
     p.add_argument("--target-mean", type=float, required=True)
     p.add_argument("--target-sigma", type=float, required=True)
-    p.add_argument("--grid", default=None, help="calibration CSV (default: synthetic)")
     p.add_argument(
         "--self-calibrate",
         action="store_true",
         help="fit source parameters from the trace instead of the grid",
     )
     p.add_argument("--out", default=None, help="write variates here, one per line")
-    _add_seed(p)
 
-    p = sub.add_parser("benchmark", help="Monte Carlo integration benchmark")
+    p = sub.add_parser(
+        "benchmark", parents=[seed, site], help="Monte Carlo integration benchmark"
+    )
     p.add_argument(
         "--sources",
         default="uniform:3,uniform:1000,gaussian,prva",
@@ -149,36 +154,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--repetitions", type=_positive_int, default=10)
     p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--temp", type=float, default=10.0)
-    p.add_argument("--volt", type=float, default=2.6)
-    p.add_argument("--grid", default=None, help="calibration CSV (default: synthetic)")
     p.add_argument("--json", default=None, help="write the full report here")
     p.add_argument("--csv", default=None, help="write per-source rows here")
-    _add_seed(p)
 
     return parser
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    grid = load_calibration(args.grid) if args.grid else default_grid()
+def _grid(args: argparse.Namespace):
+    """The calibration grid of ``--grid``, or the synthetic default."""
+    return load_calibration(args.grid) if args.grid else default_grid()
+
+
+def _synthesize(args: argparse.Namespace, grid, stream: SeededStream, **metadata):
+    """A trace of ``--n`` codes at ``--temp``/``--volt`` through the ``--bits`` ADC."""
     adc = default_adc(
         grid, args.temp, args.volt, bits=args.bits, span_sigmas=args.span_sigmas
     )
-    stream = SeededStream(args.seed)
-    trace = generate_trace(
-        stream,
-        grid,
-        args.temp,
-        args.volt,
-        adc,
-        args.n,
+    return generate_trace(stream, grid, args.temp, args.volt, adc, args.n, **metadata)
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    trace = _synthesize(
+        args,
+        _grid(args),
+        SeededStream(args.seed),
         sample_rate_hz=args.sample_rate,
         source=args.label,
     )
     store_trace(trace, args.out)
     print(
-        f"wrote {args.out}: {len(trace)} codes, bins={adc.bin_count}, "
-        f"range=[{adc.range_lo!r}, {adc.range_hi!r}], "
+        f"wrote {args.out}: {len(trace)} codes, bins={trace.adc.bin_count}, "
+        f"range=[{trace.adc.range_lo!r}, {trace.adc.range_hi!r}], "
         f"temperature_c={float(args.temp)!r}, voltage_v={float(args.volt)!r}"
     )
     return 0
@@ -247,15 +253,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    grid = load_calibration(args.grid) if args.grid else default_grid()
+    grid = _grid(args)
     stream = SeededStream(args.seed)
-    if args.trace:
-        trace = load_trace(args.trace)
-    else:
-        adc = default_adc(
-            grid, args.temp, args.volt, bits=args.bits, span_sigmas=args.span_sigmas
-        )
-        trace = generate_trace(stream, grid, args.temp, args.volt, adc, args.n)
+    trace = load_trace(args.trace) if args.trace else _synthesize(args, grid, stream)
     values = compensate(trace, None if args.self_calibrate else grid, stream=stream)
     target = GaussianSpec(args.target_mean, args.target_sigma)
     coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
@@ -285,7 +285,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     sources = [s.strip() for s in args.sources.split(",") if s.strip()]
-    grid = load_calibration(args.grid) if args.grid else default_grid()
+    grid = _grid(args)
     report = run_benchmark(
         sources,
         GaussianSpec(args.target_mean, args.target_sigma),

@@ -151,7 +151,7 @@ class AdcModel:
         return (self.range_hi - self.range_lo) / self.bin_count
 
     def quantize(self, values):
-        """Map real values to integer codes, saturating out-of-range inputs."""
+        """Map values to int64 codes of their shape, saturating out-of-range ones."""
         x = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot quantize non-finite values")
@@ -165,10 +165,10 @@ class AdcModel:
             np.divide(idx, self.width, out=idx)
         codes = np.empty(idx.shape, np.int64)
         np.clip(idx, 0, self.bin_count - 1, out=codes, casting="unsafe")
-        return codes if codes.ndim else int(codes)
+        return codes
 
     def value(self, codes):
-        """Bin-center value of each code."""
+        """Bin-center value of each code, as a float array of their shape."""
         c = np.asarray(codes)
         if not np.issubdtype(c.dtype, np.integer):
             raise ValueError("codes must be integers")
@@ -179,17 +179,17 @@ class AdcModel:
         out += 0.5
         out *= self.width
         out += self.range_lo
-        return out if out.ndim else float(out)
+        return out
 
 
 @dataclass(frozen=True)
 class CalibrationGrid:
     """Noise parameters (mean, sigma) tabulated over temperature x voltage.
 
-    Axes may be given in either strictly monotone direction (acquisition
-    sweeps typically run hot-to-cold); they are stored ascending with the
-    cell matrices reordered to match. ``means`` and ``sigmas`` are indexed
-    ``[temperature_index, voltage_index]``.
+    Both axes must be strictly increasing; a descending or repeating axis
+    raises ValueError naming it. ``means`` and ``sigmas`` are indexed
+    ``[temperature_index, voltage_index]``. :func:`load_calibration`
+    sorts its rows, so a calibration file may list them in any order.
     """
 
     temperatures: tuple
@@ -205,17 +205,8 @@ class CalibrationGrid:
         for name, ax in (("temperature", temps), ("voltage", volts)):
             if ax.size < 2:
                 raise ValueError(f"{name} axis needs at least two points")
-            d = np.diff(ax)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise ValueError(f"{name} axis must be strictly monotone")
-        if temps[0] > temps[-1]:
-            temps = temps[::-1]
-            means = means[::-1, :]
-            sigmas = sigmas[::-1, :]
-        if volts[0] > volts[-1]:
-            volts = volts[::-1]
-            means = means[:, ::-1]
-            sigmas = sigmas[:, ::-1]
+            if not np.all(np.diff(ax) > 0):
+                raise ValueError(f"{name} axis must be strictly increasing")
         if means.shape != (temps.size, volts.size) or sigmas.shape != means.shape:
             raise ValueError(
                 f"cell matrices must have shape {(temps.size, volts.size)}, "
@@ -271,6 +262,7 @@ def default_grid() -> CalibrationGrid:
     the node-to-node steps, which preserves the strict trends. The anchor
     node itself is left offset-free.
     """
+    # the node offsets are drawn in this hot-to-cold, high-to-low order
     temps = np.arange(25.0, -5.0 - 2.5, -5.0)  # 25 C down to -5 C
     volts = np.round(np.arange(3.6, 1.4 - 0.1, -0.2), 10)  # 3.6 V down to 1.4 V
     tt = temps[:, None]
@@ -283,7 +275,9 @@ def default_grid() -> CalibrationGrid:
     anchor = (int(np.where(temps == 20.0)[0][0]), int(np.where(volts == 3.0)[0][0]))
     means[anchor] = 980.794
     sigmas[anchor] = 7.178
-    return CalibrationGrid(tuple(temps), tuple(volts), means, sigmas)
+    return CalibrationGrid(
+        tuple(temps[::-1]), tuple(volts[::-1]), means[::-1, ::-1], sigmas[::-1, ::-1]
+    )
 
 
 def default_adc(

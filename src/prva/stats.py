@@ -240,15 +240,21 @@ def unit_code_binning(samples) -> Histogram:
     least 2), so for data in raw ADC code units each bin is one code
     wide. This is the native resolution for scoring a sensor trace.
 
-    A span that asks for more bins than there are samples, and more than
-    one 2**16-value block, raises ``ValueError`` before the counts are
-    allocated: such a histogram is mostly empty bins, and a wide enough
-    span would not fit in memory.
+    A NaN or infinite sample, or a span past float64's range, has no
+    whole number of bins and raises ``ValueError``. So does a span that
+    asks for more bins than there are samples, and more than one
+    2**16-value block, before the counts are allocated: such a histogram
+    is mostly empty bins, and a wide enough span would not fit in memory.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise EmptyDataError("cannot histogram zero samples")
     lo, hi = float(x.min()), float(x.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"unit-code binning needs finite samples with a finite span, "
+            f"got min {lo!r} and max {hi!r}"
+        )
     if hi == lo:
         raise DegenerateDataError("samples have zero span")
     bins = max(2, int(round(hi - lo)))

@@ -58,15 +58,15 @@ def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> TransformCoeffs:
 
 
 def apply(coeffs: TransformCoeffs, x, counter: OpCounter | None = None):
-    """Evaluate the affine map; charges one multiply and one add per value."""
+    """New array of scale * x + offset; charges one multiply and one add per value."""
     arr = np.asarray(x, dtype=float)
-    out = np.multiply(arr, coeffs.scale)
+    out = np.multiply(arr, coeffs.scale, out=np.empty_like(arr))
     out += coeffs.offset
     if counter is not None:
         n = arr.size
         counter.multiplications += n
         counter.additions += n
-    return out if out.ndim else float(out)
+    return out
 
 
 def compensate(
@@ -252,8 +252,9 @@ def fill_cache(
     flat float array (in place, so it must not change while a background
     fill runs) ``chunk_size`` values at a time; the cache keeps a copy of
     each retargeted chunk. Before anything is produced, ``chunk_size``
-    below 1 raises ValueError and coefficients that map N(0, 1) to some
-    other Gaussian than ``cache.requested_spec`` raise CoeffsMismatchError.
+    below 1 raises ValueError, and coefficients other than exactly
+    ``make_coeffs(GaussianSpec(0.0, 1.0), cache.requested_spec)`` raise
+    CoeffsMismatchError.
     With ``background=True`` production runs on a daemon thread and the
     started thread is returned, which is the producer/consumer arrangement
     the cache exists for; an exception in production is kept on the cache
@@ -265,11 +266,7 @@ def fill_cache(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     spec = cache.requested_spec
-    want = make_coeffs(GaussianSpec(0.0, 1.0), spec)
-    if not (
-        math.isclose(coeffs.scale, want.scale, rel_tol=1e-9, abs_tol=1e-9)
-        and math.isclose(coeffs.offset, want.offset, rel_tol=1e-9, abs_tol=1e-9)
-    ):
+    if coeffs != make_coeffs(GaussianSpec(0.0, 1.0), spec):
         raise CoeffsMismatchError(
             f"coefficients deliver N({coeffs.offset}, {coeffs.scale}) into a "
             f"cache labeled N({spec.mean}, {spec.sigma})"

@@ -259,3 +259,69 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+
+
+
+SITE = dict(temp=10.0, volt=2.6, grid=None)
+ADC = dict(bits=12, span_sigmas=4.0)
+SYNTHETIC = dict(mean=980.794, sigma=7.178)
+DEFAULTS = {
+    "generate": (
+        ["--n", "5", "--out", "t.txt"],
+        dict(n=5, out="t.txt", sample_rate=1154.0, label="synthetic", **SITE, **ADC),
+    ),
+    "kl": (
+        [],
+        dict(
+            trace=None,
+            source="uniform",
+            half_width=3.0,
+            n=100_000,
+            repetitions=10,
+            **SYNTHETIC,
+        ),
+    ),
+    "sweep": (
+        [],
+        dict(n=100_000, bins="16,64,256,1024,4096", repetitions=20, out=None, **SYNTHETIC),
+    ),
+    "transform": (
+        ["--target-mean", "5", "--target-sigma", "2"],
+        dict(
+            trace=None,
+            n=100_000,
+            target_mean=5.0,
+            target_sigma=2.0,
+            self_calibrate=False,
+            out=None,
+            **SITE,
+            **ADC,
+        ),
+    ),
+    "benchmark": (
+        [],
+        dict(
+            sources="uniform:3,uniform:1000,gaussian,prva",
+            target_mean=0.0,
+            target_sigma=1.0,
+            n=100_000,
+            repetitions=10,
+            threads=1,
+            json=None,
+            csv=None,
+            **SITE,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_subcommand_defaults_and_types(command):
+    # every option each subcommand parses, with its default, given only
+    # the required ones
+    required, want = DEFAULTS[command]
+    got = vars(build_parser().parse_args([command, *required]))
+    want = dict(command=command, seed=0, **want)
+    assert got == want
+    # 10 and 10.0 compare equal, so the types are pinned apart
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}

@@ -193,28 +193,19 @@ def test_grid_out_of_range_names_the_axis():
         grid.noise_params(10.0, 1.0)
 
 
-def test_grid_accepts_descending_axes():
-    asc = CalibrationGrid(
-        (0.0, 10.0),
-        (1.0, 2.0),
-        np.array([[1.0, 2.0], [3.0, 4.0]]),
-        np.array([[1.0, 1.0], [1.0, 1.0]]),
-    )
-    desc = CalibrationGrid(
-        (10.0, 0.0),
-        (2.0, 1.0),
-        np.array([[4.0, 3.0], [2.0, 1.0]]),
-        np.array([[1.0, 1.0], [1.0, 1.0]]),
-    )
-    assert asc.temperatures == desc.temperatures
-    np.testing.assert_array_equal(asc.means, desc.means)
-    assert asc.noise_params(5.0, 1.5) == desc.noise_params(5.0, 1.5)
+def test_grid_rejects_descending_axes():
+    # a hot-to-cold table is sorted by load_calibration, not by the grid
+    ones = np.ones((2, 2))
+    with pytest.raises(ValueError, match="temperature axis must be strictly increasing"):
+        CalibrationGrid((10.0, 0.0), (1.0, 2.0), ones, ones)
+    with pytest.raises(ValueError, match="voltage axis must be strictly increasing"):
+        CalibrationGrid((0.0, 10.0), (2.0, 1.0), ones, ones)
 
 
 def test_grid_validation():
     ones = np.ones((2, 2))
     with pytest.raises(ValueError):
-        CalibrationGrid((0.0, 0.0), (1.0, 2.0), ones, ones)  # non-monotone axis
+        CalibrationGrid((0.0, 0.0), (1.0, 2.0), ones, ones)  # repeated node
     with pytest.raises(ValueError):
         CalibrationGrid((0.0, 1.0), (1.0, 2.0), np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
@@ -430,6 +421,13 @@ def test_calibration_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "cal2.csv"
     store_calibration(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # rows may come in any order, hot-to-cold included: the loader sorts them
+    header, *rows = path.read_text().splitlines()
+    path2.write_text("\n".join([header] + rows[::-1]) + "\n")
+    reordered = load_calibration(path2)
+    assert reordered.temperatures == grid.temperatures
+    np.testing.assert_array_equal(reordered.means, grid.means)
+    np.testing.assert_array_equal(reordered.sigmas, grid.sigmas)
 
 
 def test_calibration_header_required(tmp_path):

@@ -202,6 +202,16 @@ def test_unit_code_binning_span_rule():
         unit_code_binning(np.array([0.0, 2.0**16 + 1]))
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [[0.0, math.inf], [-1.7e308, 1.7e308], [0.0, math.nan]],
+    ids=("inf", "span-overflow", "nan"),
+)
+def test_unit_code_binning_rejects_non_finite_span(samples):
+    with pytest.raises(ValueError, match="finite samples with a finite span"):
+        unit_code_binning(np.array(samples))
+
+
 def test_unit_code_kl_uniform_regime():
     # a uniform window of +/-3 sigma scored against its own gaussian fit:
     # the mismatch lands in a narrow, reproducible band

@@ -59,7 +59,8 @@ def test_coeffs_validation():
 
 def test_apply_values_and_op_charges():
     coeffs = TransformCoeffs(2.0, -1.0)
-    assert apply(coeffs, 3.0) == 5.0
+    scalar = apply(coeffs, 3.0)
+    assert isinstance(scalar, np.ndarray) and scalar.shape == () and scalar == 5.0
     counter = OpCounter()
     out = apply(coeffs, np.array([0.0, 1.0, 2.0]), counter)
     np.testing.assert_array_equal(out, [-1.0, 1.0, 3.0])
@@ -422,6 +423,16 @@ def test_fill_cache_rejects_mislabeled_coeffs():
     wrong = make_coeffs(GaussianSpec(0.0, 1.0), GaussianSpec(5.0, 2.0))
     with pytest.raises(CoeffsMismatchError, match="labeled"):
         fill_cache(cache, np.zeros(4), wrong)
+    # the check is exact: one ulp off in either coefficient is refused
+    cache = VariateCache(16, GaussianSpec(5.0, 2.0))
+    for scale, offset in (
+        (np.nextafter(2.0, 3.0), 5.0),
+        (2.0, np.nextafter(5.0, 6.0)),
+        (np.nextafter(2.0, 1.0), np.nextafter(5.0, 4.0)),
+    ):
+        with pytest.raises(CoeffsMismatchError, match="labeled"):
+            fill_cache(cache, np.zeros(4), TransformCoeffs(scale, offset))
+    assert cache.occupancy == 0 and not cache.closed
 
 
 def test_cache_validation():
