@@ -13,10 +13,11 @@ Three generation routes live here:
 Each generator takes a required ``size`` and returns an ndarray of that
 many variates. All randomness is drawn through a :class:`SeededStream`,
 and every arithmetic operation a generator performs per variate is
-charged to an :class:`OpCounter`, so the relative cost of the routes
-can be compared by counting instead of by wall clock. Counters
-deliberately live outside the samplers: callers own them and may share
-one across stages.
+charged to an :class:`OpCounter` (each a * x + b step, here and in the
+sensor and transform stages, by :func:`affine`), so the relative cost
+of the routes can be compared by counting instead of by wall clock.
+Counters deliberately live outside the samplers: callers own them and
+may share one across stages.
 """
 
 from __future__ import annotations
@@ -121,18 +122,28 @@ class SeededStream:
         return out
 
 
-def inversion_sample(stream: SeededStream, spec: UniformSpec, size: int) -> np.ndarray:
-    """Draw ``size`` variates of ``spec`` by inverting its CDF: lo + u * width.
+def affine(x, scale, offset, counter: OpCounter | None = None, out=None):
+    """Write scale * x + offset into ``out`` (``x`` itself by default); return it.
 
-    One uniform per variate, mapped in place on the draw and charged one
-    multiply and one add.
+    Multiply, then add, in place on ``out``, so the bits are the expression's.
+    ``offset`` may be an array. This is prva's one affine step and its one
+    charge: one multiply and one add per value, when given a ``counter``.
     """
-    out = stream.uniforms(size)
-    out *= spec.width
-    out += spec.lo
-    stream.counter.multiplications += out.size
-    stream.counter.additions += out.size
+    out = np.multiply(x, scale, out=x if out is None else out)
+    out += offset
+    if counter is not None:
+        counter.multiplications += out.size
+        counter.additions += out.size
     return out
+
+
+def inversion_sample(stream: SeededStream, spec: UniformSpec, size: int) -> np.ndarray:
+    """Draw ``size`` variates of ``spec`` by inverting its CDF: u * width + lo.
+
+    One uniform per variate, mapped in place on the draw and charged by
+    :func:`affine`. Every U(lo, hi) variate in prva is drawn here.
+    """
+    return affine(stream.uniforms(size), spec.width, spec.lo, stream.counter)
 
 
 def tight_envelope_constant(target: GaussianSpec, proposal: UniformSpec) -> float:
@@ -202,11 +213,11 @@ class AcceptRejectSampler:
         p = max(self.accept_probability, 1e-6)
         while filled < n:
             batch = min(4_000_000, int((n - filled) / p * 1.15) + 16)
-            x = self.proposal.lo + stream.uniforms(batch) * self.proposal.width
+            x = inversion_sample(stream, self.proposal, batch)
             u = stream.uniforms(batch)
             accept = u <= gaussian_pdf(x, self.target) / (self.c * u_density)
-            counter.additions += 2 * batch
-            counter.multiplications += 3 * batch
+            counter.additions += batch  # the candidate map charged its own
+            counter.multiplications += 2 * batch
             counter.divisions += 3 * batch
             counter.transcendental_evals += batch
             counter.comparisons += batch
@@ -245,13 +256,12 @@ def reference_gaussian_sample(
     counter = stream.counter
     while filled < n:
         pairs = max(16, int((n - filled) * 0.64) + 8)
-        # one draw holds x then y: PCG64 doubles are sequential, so this is
-        # the same stream as two draws of ``pairs``
-        xy = stream.uniforms(2 * pairs)
-        xy *= 2.0
-        xy -= 1.0
-        counter.multiplications += 4 * pairs
-        counter.additions += 3 * pairs
+        # one U(-1, 1) draw holds x then y: PCG64 doubles are sequential, so
+        # this is the same stream as two draws of ``pairs`` mapped by 2u - 1
+        xy = inversion_sample(stream, UniformSpec(-1.0, 1.0), 2 * pairs)
+        # s = x*x + y*y and its test; the draw charged its own map
+        counter.multiplications += 2 * pairs
+        counter.additions += pairs
         counter.comparisons += pairs
         kept = 0
         # the kept-pair work runs in blocks, so none of its temporaries is
@@ -282,8 +292,4 @@ def reference_gaussian_sample(
         counter.transcendental_evals += 2 * kept
         counter.multiplications += 3 * kept
         counter.divisions += kept
-    out *= spec.sigma
-    out += spec.mean
-    counter.multiplications += n
-    counter.additions += n
-    return out
+    return affine(out, spec.sigma, spec.mean, counter)

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import GaussianSpec
-from .samplers import SeededStream, reference_gaussian_sample
+from .distributions import GaussianSpec, UniformSpec
+from .samplers import SeededStream, affine, inversion_sample, reference_gaussian_sample
 
 DEFAULT_SAMPLE_RATE_HZ = 1154.0
 
@@ -174,12 +174,10 @@ class AdcModel:
             raise ValueError("codes must be integers")
         if c.size and (c.min() < 0 or c.max() >= self.bin_count):
             raise ValueError(f"codes must lie in [0, {self.bin_count})")
-        # range_lo + (c + 0.5) * width, evaluated in the float copy of c
+        # (c + 0.5) * width + range_lo, evaluated in the float copy of c
         out = c.astype(float)
         out += 0.5
-        out *= self.width
-        out += self.range_lo
-        return out
+        return affine(out, self.width, self.range_lo)
 
 
 @dataclass(frozen=True)
@@ -367,20 +365,14 @@ def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarr
     Each code c becomes ``value(c) + u * width/2`` with u ~ U[-1, 1), so
     every reconstructed sample stays inside its own bin and the staircase
     of the quantizer is smoothed instead of echoed. One uniform is drawn
-    per code; the affine jitter map charges two multiplies and two adds
-    per sample to the stream's counter.
+    per code, as U(-1, 1) by :func:`~prva.samplers.inversion_sample`, and
+    mapped to ``u * width/2 + value(c)`` in place on the draw by
+    :func:`~prva.samplers.affine`. Each of the two affine steps charges
+    one multiply and one add per sample to the stream's counter.
     """
-    out = trace.adc.value(trace.codes)
-    n = trace.codes.size
-    # value(c) + (2u - 1) * half, each step in place on the drawn uniforms
-    jitter = stream.uniforms(n)
-    jitter *= 2.0
-    jitter -= 1.0
-    jitter *= trace.adc.width / 2.0
-    out += jitter
-    stream.counter.multiplications += 2 * n
-    stream.counter.additions += 2 * n
-    return out
+    jitter = inversion_sample(stream, UniformSpec(-1.0, 1.0), trace.codes.size)
+    centers = trace.adc.value(trace.codes)
+    return affine(jitter, trace.adc.width / 2.0, centers, stream.counter)
 
 
 def store_trace(trace: SampleTrace, path) -> None:
@@ -395,7 +387,7 @@ def store_trace(trace: SampleTrace, path) -> None:
         f"source={trace.source}",
         "",
     ]
-    lines.extend(str(int(c)) for c in trace.codes)
+    lines.extend(map(str, trace.codes.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -92,7 +92,9 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
 
     Samples below the range land in the first bin and samples above in
     the last, mirroring how the ADC clips rather than drops; nothing is
-    ever silently discarded, so counts always sum to len(samples).
+    ever silently discarded, so counts always sum to len(samples). More
+    bins than max(samples, 2**16) raise ValueError before anything is
+    allocated.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -103,6 +105,12 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     bins = int(bins)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    # counts, edges and bincounts cost 8 B a bin whatever the sample count
+    if bins > max(x.size, _BLOCK):
+        raise ValueError(
+            f"histogram of {x.size} samples into {bins} bins: more bins than "
+            f"max(samples, {_BLOCK})"
+        )
     lo, hi = (float(hist_range[0]), float(hist_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
@@ -242,9 +250,7 @@ def unit_code_binning(samples) -> Histogram:
 
     A NaN or infinite sample, or a span past float64's range, has no
     whole number of bins and raises ``ValueError``. So does a span that
-    asks for more bins than there are samples, and more than one
-    2**16-value block, before the counts are allocated: such a histogram
-    is mostly empty bins, and a wide enough span would not fit in memory.
+    asks :func:`histogram` for more bins than it accepts.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -257,13 +263,7 @@ def unit_code_binning(samples) -> Histogram:
         )
     if hi == lo:
         raise DegenerateDataError("samples have zero span")
-    bins = max(2, int(round(hi - lo)))
-    if bins > max(x.size, _BLOCK):
-        raise ValueError(
-            f"unit-code binning of {x.size} samples over a span of {hi - lo!r} "
-            f"needs {bins} bins, more than max(samples, {_BLOCK})"
-        )
-    return histogram(x, bins, (lo, hi))
+    return histogram(x, max(2, int(round(hi - lo))), (lo, hi))
 
 
 def unit_code_kl(samples) -> tuple:

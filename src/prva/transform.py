@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GaussianSpec
-from .samplers import OpCounter, SeededStream
+from .samplers import OpCounter, SeededStream, affine
 from .sensor import CalibrationGrid, SampleTrace, dequantize_with_jitter
 from .stats import fit_gaussian
 
@@ -58,15 +58,12 @@ def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> TransformCoeffs:
 
 
 def apply(coeffs: TransformCoeffs, x, counter: OpCounter | None = None):
-    """New array of scale * x + offset; charges one multiply and one add per value."""
+    """New array of scale * x + offset, written by :func:`~prva.samplers.affine`.
+
+    That kernel charges ``counter`` one multiply and one add per value.
+    """
     arr = np.asarray(x, dtype=float)
-    out = np.multiply(arr, coeffs.scale, out=np.empty_like(arr))
-    out += coeffs.offset
-    if counter is not None:
-        n = arr.size
-        counter.multiplications += n
-        counter.additions += n
-    return out
+    return affine(arr, coeffs.scale, coeffs.offset, counter, out=np.empty_like(arr))
 
 
 def compensate(

@@ -129,6 +129,15 @@ def test_sweep_prints_rows_and_writes_file(capsys, tmp_path):
     assert out_file.read_text().splitlines() == lines
 
 
+def test_sweep_with_more_bins_than_samples_or_a_block_fails_cleanly(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "10", "--repetitions", "1", "--bins", "65537"
+    )
+    assert code == 1
+    assert err.startswith("error:") and "65537 bins" in err
+    assert out == ""
+
+
 def test_transform_synthesizes_and_retargets(capsys, tmp_path):
     out_file = tmp_path / "variates.txt"
     code, out, _ = run_cli(

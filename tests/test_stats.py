@@ -83,6 +83,15 @@ def test_histogram_rejects_range_too_wide_or_narrow_for_its_bins(samples, bins, 
         histogram(samples, bins, hist_range)
 
 
+def test_histogram_refuses_more_bins_than_samples_or_a_block():
+    # every bin costs memory whatever the sample count, so the count is
+    # refused before anything is allocated
+    assert histogram(np.arange(10.0), 2**16, (0.0, 10.0)).bins == 2**16
+    assert histogram(np.zeros(2**16 + 5), 2**16 + 5, (0.0, 1.0)).bins == 2**16 + 5
+    with pytest.raises(ValueError, match="10 samples into 65537 bins"):
+        histogram(np.arange(10.0), 65537, (0.0, 10.0))
+
+
 def test_fit_gaussian_known_values():
     fit = fit_gaussian([0.0, 2.0])
     assert fit.mean == 1.0
