@@ -141,7 +141,8 @@ def inversion_sample(stream: SeededStream, spec: UniformSpec, size: int) -> np.n
     """Draw ``size`` variates of ``spec`` by inverting its CDF: u * width + lo.
 
     One uniform per variate, mapped in place on the draw and charged by
-    :func:`affine`. Every U(lo, hi) variate in prva is drawn here.
+    :func:`affine`. Every U(lo, hi) variate of the samplers is drawn here;
+    the dequantizer's jitter is a raw :meth:`SeededStream.uniforms` draw.
     """
     return affine(stream.uniforms(size), spec.width, spec.lo, stream.counter)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import GaussianSpec, UniformSpec
-from .samplers import SeededStream, affine, inversion_sample, reference_gaussian_sample
+from .distributions import GaussianSpec
+from .samplers import SeededStream, affine, reference_gaussian_sample
 
 DEFAULT_SAMPLE_RATE_HZ = 1154.0
 
@@ -112,7 +112,9 @@ class AdcModel:
 
     Quantization floors into bins and saturates: inputs at or beyond the
     range edges land in the first or last bin rather than erroring, the
-    way a real converter clips. ``value`` maps codes back to bin centers.
+    way a real converter clips. Codes come out in ``code_dtype``, the
+    smallest unsigned dtype that holds ``bin_count - 1``. ``value`` maps
+    codes of any integer dtype back to bin centers.
     """
 
     bin_count: int
@@ -122,8 +124,8 @@ class AdcModel:
     def __post_init__(self):
         if int(self.bin_count) != self.bin_count or self.bin_count < 2:
             raise ValueError(f"bin_count must be an integer >= 2, got {self.bin_count}")
-        # codes pass through float64 in quantize and value; above 2**53
-        # they stop being exact there and the int64 cast wraps
+        # codes pass through float64 in quantize, value and
+        # dequantize_with_jitter; above 2**53 they stop being exact there
         if self.bin_count > 2**53:
             raise ValueError(
                 f"bin_count {self.bin_count} exceeds 2**53, the largest count "
@@ -150,8 +152,13 @@ class AdcModel:
         """Width of one code bin."""
         return (self.range_hi - self.range_lo) / self.bin_count
 
+    @property
+    def code_dtype(self) -> np.dtype:
+        """Smallest unsigned dtype that holds every code: uint16 for 4,096 bins."""
+        return np.min_scalar_type(self.bin_count - 1)
+
     def quantize(self, values):
-        """Map values to int64 codes of their shape, saturating out-of-range ones."""
+        """Map values to codes of their shape in ``code_dtype``, saturating out-of-range ones."""
         x = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot quantize non-finite values")
@@ -163,7 +170,7 @@ class AdcModel:
         with np.errstate(over="ignore"):
             idx = np.subtract(x, self.range_lo, out=np.empty_like(x))
             np.divide(idx, self.width, out=idx)
-        codes = np.empty(idx.shape, np.int64)
+        codes = np.empty(idx.shape, self.code_dtype)
         np.clip(idx, 0, self.bin_count - 1, out=codes, casting="unsafe")
         return codes
 
@@ -295,9 +302,11 @@ def default_adc(
 class SampleTrace:
     """A captured code stream plus the acquisition context it needs replayed.
 
-    ``codes`` is the raw integer ADC output; the remaining fields record
-    the converter geometry and operating point, which is exactly the
-    header of the on-disk format.
+    ``codes`` is the raw integer ADC output. It is range-checked as given,
+    so a negative or too-large code raises instead of wrapping, and then
+    kept as a read-only copy in ``adc.code_dtype``. The remaining fields
+    record the converter geometry and operating point, which is exactly
+    the header of the on-disk format.
     """
 
     codes: np.ndarray
@@ -321,7 +330,7 @@ class SampleTrace:
             raise ValueError("sample_rate_hz must be positive")
         if not _LINE_BREAKS.isdisjoint(self.source):
             raise ValueError(f"source must not contain a line break, got {self.source!r}")
-        codes = codes.astype(np.int64, copy=True)
+        codes = codes.astype(self.adc.code_dtype, copy=True)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -360,19 +369,19 @@ def generate_trace(
 
 
 def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarray:
-    """Reconstruct real values from codes: bin center plus uniform bin jitter.
+    """Reconstruct real values from codes: a uniform point in each code's bin.
 
-    Each code c becomes ``value(c) + u * width/2`` with u ~ U[-1, 1), so
-    every reconstructed sample stays inside its own bin and the staircase
-    of the quantizer is smoothed instead of echoed. One uniform is drawn
-    per code, as U(-1, 1) by :func:`~prva.samplers.inversion_sample`, and
-    mapped to ``u * width/2 + value(c)`` in place on the draw by
-    :func:`~prva.samplers.affine`. Each of the two affine steps charges
-    one multiply and one add per sample to the stream's counter.
+    Each code c becomes ``range_lo + (c + u) * width`` with u ~ U[0, 1), so
+    every reconstructed sample stays inside its own half-open bin and the
+    staircase of the quantizer is smoothed instead of echoed. One raw
+    uniform is drawn per code; the codes are added to it in place and the
+    sum is mapped by :func:`~prva.samplers.affine`. That charges one
+    multiply and two adds per code to the stream's counter.
     """
-    jitter = inversion_sample(stream, UniformSpec(-1.0, 1.0), trace.codes.size)
-    centers = trace.adc.value(trace.codes)
-    return affine(jitter, trace.adc.width / 2.0, centers, stream.counter)
+    out = stream.uniforms(trace.codes.size)
+    out += trace.codes
+    stream.counter.additions += out.size
+    return affine(out, trace.adc.width, trace.adc.range_lo, stream.counter)
 
 
 def store_trace(trace: SampleTrace, path) -> None:
@@ -457,7 +466,7 @@ def load_trace(path) -> SampleTrace:
         raise TraceBodyError("trace body contains no samples")
     try:
         return SampleTrace(
-            codes=np.asarray(codes, dtype=np.int64),
+            codes=np.array(codes, dtype=adc.code_dtype),
             adc=adc,
             temperature_c=temperature,
             voltage_v=voltage,

@@ -87,6 +87,20 @@ class FitResult:
             raise ValueError("sample count cannot be negative")
 
 
+def _checked_bins(bins, size: int) -> int:
+    """``bins`` as an int, or ValueError when :func:`histogram` refuses it for ``size`` samples."""
+    bins = int(bins)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    # counts, edges and bincounts cost 8 B a bin whatever the sample count
+    if bins > max(size, _BLOCK):
+        raise ValueError(
+            f"histogram of {size} samples into {bins} bins: more bins than "
+            f"max(samples, {_BLOCK})"
+        )
+    return bins
+
+
 def histogram(samples, bins: int, hist_range) -> Histogram:
     """Equal-width histogram with saturating out-of-range handling.
 
@@ -102,15 +116,7 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     # a NaN propagates through min
     if math.isnan(x.min()):
         raise ValueError("samples contain NaN")
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    # counts, edges and bincounts cost 8 B a bin whatever the sample count
-    if bins > max(x.size, _BLOCK):
-        raise ValueError(
-            f"histogram of {x.size} samples into {bins} bins: more bins than "
-            f"max(samples, {_BLOCK})"
-        )
+    bins = _checked_bins(bins, x.size)
     lo, hi = (float(hist_range[0]), float(hist_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid histogram range [{lo}, {hi}]")
@@ -293,12 +299,14 @@ def quantization_sweep(
     per-b KLs are averaged. Batches use seeds derived from (seed, bin
     index, repetition index), so results do not depend on evaluation
     order. Returns a list of (bins, mean_kl) pairs in the order the bin
-    counts were given.
+    counts were given. A bin count :func:`histogram` would refuse for
+    ``n`` samples raises ValueError before any batch is drawn.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
+    bin_counts = [_checked_bins(b, n) for b in bin_counts]
     lo = spec.mean - 4.0 * spec.sigma
     hi = spec.mean + 4.0 * spec.sigma
     out = []
@@ -307,10 +315,10 @@ def quantization_sweep(
         for rep in range(repetitions):
             stream = SeededStream(derive_seed(seed, bi, rep))
             x = reference_gaussian_sample(stream, spec, n)
-            hist = histogram(x, int(b), (lo, hi))
+            hist = histogram(x, b, (lo, hi))
             fit = fit_gaussian_binned(hist)
             kls[rep] = kl_divergence(hist, fit)
-        out.append((int(b), float(kls.mean())))
+        out.append((b, float(kls.mean())))
     return out
 
 

@@ -79,9 +79,10 @@ def compensate(
     grid-free operation at the price of estimation error.
 
     Jitter uniforms are drawn from ``stream`` and all arithmetic is
-    charged to its counter. The grid is consulted before any jitter is
-    drawn, so an off-grid trace raises GridRangeError with the stream
-    untouched.
+    charged to its counter: three ops per code to dequantize and two to
+    standardize, in place on the dequantized array. The grid is
+    consulted before any jitter is drawn, so an off-grid trace raises
+    GridRangeError with the stream untouched.
     """
     if grid is not None:
         src = GaussianSpec(*grid.noise_params(trace.temperature_c, trace.voltage_v))
@@ -90,7 +91,7 @@ def compensate(
         fit = fit_gaussian(values)
         src = GaussianSpec(fit.mean, fit.sigma)
     coeffs = make_coeffs(src, GaussianSpec(0.0, 1.0))
-    return apply(coeffs, values, stream.counter)
+    return affine(values, coeffs.scale, coeffs.offset, stream.counter)
 
 
 class VariateCache:

@@ -272,14 +272,33 @@ def test_criterion_5_operation_economy(acceptance):
         and ar.total_ops >= 10 * attempts
         and attempts > 21_000
     )
+    # the host side of prva: on n codes, compensate and apply charge 3 ops
+    # to dequantize, 2 to standardize and 2 to retarget, and 1 draw, per
+    # variate; the polar sampler pays more ops per variate at the same n
+    grid = default_grid()
+    adc = default_adc(grid, 10.0, 2.6)
+    trace = generate_trace(SeededStream(derive_seed(SEED, 52)), grid, 10.0, 2.6, adc, n)
+    host = OpCounter()
+    standard = compensate(trace, grid, stream=SeededStream(derive_seed(SEED, 53), host))
+    apply(coeffs, standard, host)
+    polar = OpCounter()
+    reference_gaussian_sample(SeededStream(derive_seed(SEED, 54), polar), SENSOR, n)
+    host_ok = (
+        host.total_ops == 7 * n
+        and host.uniform_draws == n
+        and host.total_ops < polar.total_ops
+    )
     elapsed = time.perf_counter() - t0
-    ok = transform_ok and ar_ok and elapsed < 60
+    ok = transform_ok and ar_ok and host_ok and elapsed < 60
     detail = (
         f"transform charged {counter.total_ops / n:g} ops/variate "
         f"(1 mul + 1 add; wall {wall_ns:.1f} ns/variate, reported only); "
         f"accept-reject charged {ar.total_ops / attempts:g} ops and "
         f"{ar.uniform_draws / attempts:g} draws per attempt over "
-        f"{attempts} attempts, {elapsed:.1f}s < 60s"
+        f"{attempts} attempts; prva's host side (compensate + apply) charged "
+        f"{host.total_ops / n:g} ops and {host.uniform_draws / n:g} draws per "
+        f"variate (7 and 1) against polar's {polar.total_ops / n:g} ops, "
+        f"{elapsed:.1f}s < 60s"
     )
     assert acceptance("5", ok, detail), detail
 

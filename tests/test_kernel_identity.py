@@ -10,7 +10,8 @@ serve as the reference: every output bit and every ``OpCounter``
 charge, draws included, of the library kernels must equal theirs. The
 blocked ``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit.
 ``quantize`` and ``value`` return arrays for every input, so a scalar
-input comes back as a 0-d array.
+input comes back as a 0-d array, and ``quantize``'s codes come in the
+smallest unsigned dtype that holds ``bin_count - 1``.
 The ``tracemalloc`` checks at the end bound how many n-sized buffers
 the scoring kernels, the uniform inverter and the cache drain allocate.
 """
@@ -87,7 +88,8 @@ def quantize_expression(adc, values):
         raise ValueError("cannot quantize non-finite values")
     with np.errstate(over="ignore"):
         idx = np.floor((x - adc.range_lo) / adc.width, out=np.empty_like(x))
-    return np.clip(idx, 0, adc.bin_count - 1, out=idx).astype(np.int64)
+    # codes come in the smallest unsigned dtype that holds bin_count - 1
+    return np.clip(idx, 0, adc.bin_count - 1, out=idx).astype(np.min_scalar_type(adc.bin_count - 1))
 
 
 def value_expression(adc, codes):
@@ -99,12 +101,10 @@ def value_expression(adc, codes):
 
 
 def dequantize_expression(trace, stream):
-    centers = value_expression(trace.adc, trace.codes)
     n = trace.codes.size
     u = stream.uniforms(n)
-    half = trace.adc.width / 2.0
-    out = centers + (2.0 * u - 1.0) * half
-    stream.counter.multiplications += 2 * n
+    out = trace.adc.range_lo + (trace.codes + u) * trace.adc.width
+    stream.counter.multiplications += n
     stream.counter.additions += 2 * n
     return out
 

@@ -39,7 +39,7 @@ spans = st.floats(min_value=1e-3, max_value=1e6)
 def test_adc_quantize_saturates_any_finite_input(x, bins, lo, span):
     adc = AdcModel(bins, lo, lo + span)
     codes = adc.quantize(np.array(x))
-    assert codes.dtype == np.int64
+    assert codes.dtype == np.min_scalar_type(bins - 1)
     assert np.all((codes >= 0) & (codes < bins))
     for value, code in zip(x, codes):
         assert adc.quantize(value) == code  # scalar and array paths agree

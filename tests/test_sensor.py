@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -267,6 +268,10 @@ def test_sample_trace_validation():
         SampleTrace(np.array([0.5]), adc, 10.0, 2.6)  # non-integer codes
     with pytest.raises(ValueError):
         SampleTrace(np.array([16]), adc, 10.0, 2.6)  # out of range
+    # checked before the cast to uint8, where -1 would wrap to 255 and 256 to 0
+    for codes in (np.array([3, -1]), np.array([3, 256], dtype=np.int64)):
+        with pytest.raises(ValueError, match="lie in"):
+            SampleTrace(codes, AdcModel(256, 0.0, 1.0), 10.0, 2.6)
     with pytest.raises(ValueError):
         SampleTrace(np.array([], dtype=np.int64), adc, 10.0, 2.6)
     with pytest.raises(ValueError):
@@ -316,9 +321,47 @@ def test_dequantize_charges_draws_and_ops():
     trace = SampleTrace(np.arange(8), adc, 10.0, 2.6)
     stream = SeededStream(1)
     dequantize_with_jitter(trace, stream)
+    # range_lo + (c + u) * width: one raw draw, one add, then the affine map
     assert stream.counter.uniform_draws == 8
-    assert stream.counter.multiplications == 16
+    assert stream.counter.multiplications == 8
     assert stream.counter.additions == 16
+
+
+# --- code dtypes ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "bins, dtype",
+    [
+        (256, np.uint8),
+        (257, np.uint16),
+        (2**16, np.uint16),
+        (2**16 + 1, np.uint32),
+        (2**32 + 1, np.uint64),
+    ],
+)
+def test_codes_take_the_smallest_unsigned_dtype(bins, dtype):
+    adc = AdcModel(bins, 0.0, float(bins))  # unit-width bins
+    codes = adc.quantize([-1.0, 0.5, bins / 2, bins - 0.5, bins + 10.0])
+    assert codes.dtype == dtype
+    assert codes.tolist() == [0, 0, bins // 2, bins - 1, bins - 1]
+    # value and the dequantizer read every such dtype
+    np.testing.assert_array_equal(adc.value(codes), codes + 0.5)
+    trace = SampleTrace(codes, adc, 10.0, 2.6)
+    assert trace.codes.dtype == dtype
+    out = dequantize_with_jitter(trace, SeededStream(3))
+    assert out.dtype == np.float64
+    assert np.all((out >= codes) & (out < codes + 1.0))
+
+
+def test_store_trace_writes_compact_codes_as_int64_ones(tmp_path):
+    codes = np.array([0, 1, 255, 256, 4095], dtype=np.int64)
+    trace = SampleTrace(codes, AdcModel(4096, 0.0, 1.0), 10.0, 2.6)
+    assert trace.codes.dtype == np.uint16
+    wide = copy.copy(trace)
+    object.__setattr__(wide, "codes", codes)  # what SampleTrace kept before
+    store_trace(trace, tmp_path / "compact.trace")
+    store_trace(wide, tmp_path / "wide.trace")
+    assert (tmp_path / "compact.trace").read_bytes() == (tmp_path / "wide.trace").read_bytes()
 
 
 # --- trace files ----------------------------------------------------------
@@ -332,6 +375,7 @@ def test_trace_round_trip_bitwise(tmp_path):
     store_trace(trace, path)
     loaded = load_trace(path)
     np.testing.assert_array_equal(loaded.codes, trace.codes)
+    assert loaded.codes.dtype == np.uint16  # 4,096 bins
     assert loaded.adc == trace.adc
     assert loaded.temperature_c == trace.temperature_c
     assert loaded.voltage_v == trace.voltage_v

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prva.distributions import GaussianSpec, UniformSpec
+from prva import stats
 from prva.samplers import SeededStream, inversion_sample, reference_gaussian_sample
 from prva.stats import (
     AbsoluteContinuityError,
@@ -260,6 +261,21 @@ def test_quantization_sweep_trend_small():
 def test_quantization_sweep_coarse_limit():
     rows = quantization_sweep(SENSOR, 20_000, (2,), 5, seed=1)
     assert rows[0][1] < 5e-3  # two bins barely distinguish anything
+
+
+def test_quantization_sweep_refuses_bin_counts_before_the_first_row(monkeypatch):
+    # a count histogram refuses used to fail only when its row was
+    # reached, after every earlier row had drawn all its batches
+    calls = []
+
+    def counting(stream, spec, size):
+        calls.append(size)
+        return reference_gaussian_sample(stream, spec, size)
+
+    monkeypatch.setattr(stats, "reference_gaussian_sample", counting)
+    with pytest.raises(ValueError, match="10 samples into 65537 bins"):
+        quantization_sweep(SENSOR, 10, [16, 65537], 3)
+    assert calls == []
 
 
 def test_quantization_sweep_determinism():
