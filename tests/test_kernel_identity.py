@@ -89,7 +89,8 @@ def quantize_expression(adc, values):
     with np.errstate(over="ignore"):
         idx = np.floor((x - adc.range_lo) / adc.width, out=np.empty_like(x))
     # codes come in the smallest unsigned dtype that holds bin_count - 1
-    return np.clip(idx, 0, adc.bin_count - 1, out=idx).astype(np.min_scalar_type(adc.bin_count - 1))
+    codes = np.clip(idx, 0, adc.bin_count - 1, out=idx)
+    return codes.astype(np.min_scalar_type(adc.bin_count - 1))
 
 
 def value_expression(adc, codes):

@@ -329,6 +329,7 @@ def test_dequantize_charges_draws_and_ops():
 
 # --- code dtypes ------------------------------------------------------------
 
+
 @pytest.mark.parametrize(
     "bins, dtype",
     [
