@@ -32,6 +32,7 @@ from .sensor import (
     load_calibration,
     load_trace,
     store_trace,
+    _write_lines,
 )
 from .stats import (
     confidence_interval_90,
@@ -203,7 +204,7 @@ def cmd_kl(args: argparse.Namespace) -> int:
         print(f"fit_mean={fit.mean!r}")
         print(f"fit_sigma={fit.sigma!r}")
         return 0
-    spec_mean, spec_sigma = args.mean, args.sigma
+    spec = GaussianSpec(args.mean, args.sigma)
     reps = args.repetitions
     kls = np.empty(reps)
     fit_means = np.empty(reps)
@@ -211,14 +212,12 @@ def cmd_kl(args: argparse.Namespace) -> int:
     for rep in range(reps):
         stream = SeededStream(derive_seed(args.seed, rep))
         if args.source == "uniform":
-            h = args.half_width * spec_sigma
+            h = args.half_width * spec.sigma
             x = inversion_sample(
-                stream, UniformSpec(spec_mean - h, spec_mean + h), args.n
+                stream, UniformSpec(spec.mean - h, spec.mean + h), args.n
             )
         else:
-            x = reference_gaussian_sample(
-                stream, GaussianSpec(spec_mean, spec_sigma), args.n
-            )
+            x = reference_gaussian_sample(stream, spec, args.n)
         fit, kl = unit_code_kl(x)
         kls[rep], fit_means[rep], fit_sigmas[rep] = kl, fit.mean, fit.sigma
     print(f"mode={args.source} half_width_sigmas={args.half_width!r}")
@@ -279,7 +278,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(repr(float(v)) for v in out) + "\n")
+            _write_lines(fh, out)
     return 0
 
 

@@ -26,7 +26,7 @@ class GaussianSpec:
         if not math.isfinite(self.mean):
             raise ValueError(f"gaussian mean must be finite, got {self.mean}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"gaussian sigma must be positive, got {self.sigma}")
+            raise ValueError(f"gaussian sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -228,8 +228,8 @@ class CalibrationGrid:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigmas", sigmas)
 
-    def noise_params(self, temperature: float, voltage: float):
-        """Interpolated (mean, sigma) at an in-grid operating point.
+    def noise_params(self, temperature: float, voltage: float) -> GaussianSpec:
+        """Interpolated noise Gaussian at an in-grid operating point.
 
         Bilinear within the enclosing cell, exact at grid nodes, and
         continuous across cell boundaries. Operating points outside the
@@ -252,7 +252,7 @@ class CalibrationGrid:
             _lerp(_lerp(c[t0, v0], c[t0, v1], wv), _lerp(c[t1, v0], c[t1, v1], wv), wt)
             for c in (self.means, self.sigmas)
         )
-        return float(mean), float(sigma)
+        return GaussianSpec(float(mean), float(sigma))
 
 
 def default_grid() -> CalibrationGrid:
@@ -293,9 +293,9 @@ def default_adc(
     span_sigmas: float = 4.0,
 ) -> AdcModel:
     """ADC sized for an operating point: 2**bits bins over mean +/- span_sigmas."""
-    mean, sigma = grid.noise_params(temperature, voltage)
-    half = span_sigmas * sigma
-    return AdcModel(2**bits, mean - half, mean + half)
+    noise = grid.noise_params(temperature, voltage)
+    half = span_sigmas * noise.sigma
+    return AdcModel(2**bits, noise.mean - half, noise.mean + half)
 
 
 @dataclass(frozen=True)
@@ -356,8 +356,7 @@ def generate_trace(
     """
     if n < 1:
         raise ValueError("trace length must be at least 1")
-    mean, sigma = grid.noise_params(temperature, voltage)
-    raw = reference_gaussian_sample(stream, GaussianSpec(mean, sigma), n)
+    raw = reference_gaussian_sample(stream, grid.noise_params(temperature, voltage), n)
     return SampleTrace(
         codes=adc.quantize(raw),
         adc=adc,
@@ -372,7 +371,8 @@ def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarr
     """Reconstruct real values from codes: a uniform point in each code's bin.
 
     Each code c becomes ``range_lo + (c + u) * width`` with u ~ U[0, 1), so
-    every reconstructed sample stays inside its own half-open bin and the
+    every reconstructed sample stays inside its own closed bin: a u near 1
+    can round onto the upper edge, which may quantize as c + 1. The
     staircase of the quantizer is smoothed instead of echoed. One raw
     uniform is drawn per code; the codes are added to it in place and the
     sum is mapped by :func:`~prva.samplers.affine`. That charges one
@@ -384,9 +384,16 @@ def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarr
     return affine(out, trace.adc.width, trace.adc.range_lo, stream.counter)
 
 
+def _write_lines(fh, values) -> None:
+    """Write a 1-D array one ``repr`` a line, holding at most 2**16 lines at once."""
+    for start in range(0, values.size, 2**16):
+        block = values[start : start + 2**16].tolist()
+        fh.write("\n".join(map(repr, block)) + "\n")
+
+
 def store_trace(trace: SampleTrace, path) -> None:
     """Write a trace in the key=value header + one-code-per-line format."""
-    lines = [
+    header = [
         f"bins={int(trace.adc.bin_count)}",
         f"range_lo={float(trace.adc.range_lo)!r}",
         f"range_hi={float(trace.adc.range_hi)!r}",
@@ -394,11 +401,10 @@ def store_trace(trace: SampleTrace, path) -> None:
         f"voltage_v={float(trace.voltage_v)!r}",
         f"sample_rate_hz={float(trace.sample_rate_hz)!r}",
         f"source={trace.source}",
-        "",
     ]
-    lines.extend(map(str, trace.codes.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n\n")
+        _write_lines(fh, trace.codes)
 
 
 def load_trace(path) -> SampleTrace:

@@ -71,18 +71,13 @@ class Histogram:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Maximum-likelihood Gaussian parameters estimated from n samples."""
+class FitResult(GaussianSpec):
+    """Maximum-likelihood Gaussian estimated from ``n`` samples."""
 
-    mean: float
-    sigma: float
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
-            raise ValueError("fit parameters must be finite")
-        if self.sigma <= 0:
-            raise ValueError(f"fit sigma must be positive, got {self.sigma}")
+        super().__post_init__()
         if self.n < 0:
             raise ValueError("sample count cannot be negative")
 
@@ -166,7 +161,7 @@ def fit_gaussian(samples) -> FitResult:
     if not math.isfinite(mean):
         raise ValueError(f"gaussian fit needs finite samples and mean, got mean {mean}")
     # finite samples whose deviations overflow when squared give inf,
-    # which FitResult rejects
+    # which GaussianSpec rejects
     with np.errstate(over="ignore"):
         squares = _squared_deviations(x, mean, np.empty(min(x.size, _BLOCK)))
     sigma = math.sqrt(squares / x.size)
@@ -212,7 +207,7 @@ def fit_gaussian_binned(hist: Histogram) -> FitResult:
     return FitResult(mean=mean, sigma=math.sqrt(var), n=total)
 
 
-def kl_divergence(hist: Histogram, target) -> float:
+def kl_divergence(hist: Histogram, target: GaussianSpec) -> float:
     """KL(P || Q) in nats between a histogram and a Gaussian reference.
 
     P is the histogram's bin-mass vector. Q is the Gaussian's exact CDF
@@ -220,8 +215,8 @@ def kl_divergence(hist: Histogram, target) -> float:
     histogram range, so a histogram of a correctly truncated Gaussian
     scores near zero instead of paying for the missing tails. Bins where
     P is zero contribute nothing; a bin where P > 0 but Q underflows to
-    zero raises AbsoluteContinuityError. ``target`` is anything with
-    mean/sigma attributes (a FitResult or a GaussianSpec).
+    zero raises AbsoluteContinuityError. ``target`` may be a FitResult,
+    which is a GaussianSpec.
 
     The result is clipped at zero: by Gibbs' inequality the exact value
     cannot be negative, so any tiny negative is rounding residue.
@@ -229,8 +224,7 @@ def kl_divergence(hist: Histogram, target) -> float:
     total = hist.total
     if total == 0:
         raise EmptyDataError("histogram is empty")
-    spec = GaussianSpec(float(target.mean), float(target.sigma))
-    q = np.diff(gaussian_cdf(hist.edges, spec))
+    q = np.diff(gaussian_cdf(hist.edges, target))
     z = q.sum()
     if not z > 0.0:
         raise AbsoluteContinuityError(

@@ -85,11 +85,10 @@ def compensate(
     GridRangeError with the stream untouched.
     """
     if grid is not None:
-        src = GaussianSpec(*grid.noise_params(trace.temperature_c, trace.voltage_v))
+        src = grid.noise_params(trace.temperature_c, trace.voltage_v)
     values = dequantize_with_jitter(trace, stream)
     if grid is None:
-        fit = fit_gaussian(values)
-        src = GaussianSpec(fit.mean, fit.sigma)
+        src = fit_gaussian(values)
     coeffs = make_coeffs(src, GaussianSpec(0.0, 1.0))
     return affine(values, coeffs.scale, coeffs.offset, stream.counter)
 

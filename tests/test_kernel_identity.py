@@ -215,8 +215,7 @@ def test_generate_trace_codes_match_expression_form(n):
     adc = default_adc(grid)
     got_stream, want_stream = SeededStream(9), SeededStream(9)
     trace = generate_trace(got_stream, grid, 10.0, 2.6, adc, n)
-    mean, sigma = grid.noise_params(10.0, 2.6)
-    raw = polar_expression(want_stream, GaussianSpec(mean, sigma), n)
+    raw = polar_expression(want_stream, grid.noise_params(10.0, 2.6), n)
     assert_identical(trace.codes, quantize_expression(adc, raw))
     assert_same_streams(got_stream, want_stream)
 

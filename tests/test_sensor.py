@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,15 +28,16 @@ from prva.sensor import (
 from prva.stats import fit_gaussian, histogram, kl_divergence
 
 
-class HalfStream:
-    """Stream double whose every uniform is 0.5 (jitter collapses to zero)."""
+class FixedStream:
+    """Stream double whose every uniform is ``u``."""
 
-    def __init__(self):
+    def __init__(self, u):
+        self.u = u
         self.counter = OpCounter()
 
     def uniforms(self, size):
         self.counter.uniform_draws += size
-        return np.full(size, 0.5)
+        return np.full(size, self.u)
 
 
 # --- ADC ---------------------------------------------------------------
@@ -132,18 +134,16 @@ def test_default_grid_shape_and_anchor():
     assert len(grid.voltages) == 12
     assert grid.means.shape == (7, 12)
     # the acquisition anchor is exact
-    mean, sigma = grid.noise_params(20.0, 3.0)
-    assert mean == 980.794
-    assert sigma == 7.178
+    assert grid.noise_params(20.0, 3.0) == GaussianSpec(980.794, 7.178)
 
 
 def test_grid_exact_at_every_node():
     grid = default_grid()
     for ti, t in enumerate(grid.temperatures):
         for vi, v in enumerate(grid.voltages):
-            mean, sigma = grid.noise_params(t, v)
-            assert mean == grid.means[ti, vi]
-            assert sigma == grid.sigmas[ti, vi]
+            noise = grid.noise_params(t, v)
+            assert noise.mean == grid.means[ti, vi]
+            assert noise.sigma == grid.sigmas[ti, vi]
 
 
 def test_grid_monotone_trends():
@@ -160,11 +160,11 @@ def test_grid_cell_midpoint_is_corner_average():
     grid = default_grid()
     t_mid = 0.5 * (grid.temperatures[2] + grid.temperatures[3])
     v_mid = 0.5 * (grid.voltages[5] + grid.voltages[6])
-    mean, sigma = grid.noise_params(t_mid, v_mid)
+    noise = grid.noise_params(t_mid, v_mid)
     corner_mean = grid.means[2:4, 5:7].mean()
     corner_sigma = grid.sigmas[2:4, 5:7].mean()
-    assert math.isclose(mean, corner_mean, rel_tol=1e-14)
-    assert math.isclose(sigma, corner_sigma, rel_tol=1e-14)
+    assert math.isclose(noise.mean, corner_mean, rel_tol=1e-14)
+    assert math.isclose(noise.sigma, corner_sigma, rel_tol=1e-14)
 
 
 def test_grid_continuous_across_cell_boundaries():
@@ -177,12 +177,12 @@ def test_grid_continuous_across_cell_boundaries():
         for v in np.linspace(volts[0], volts[-1], 97):
             at = grid.noise_params(t, v)
             below = grid.noise_params(np.nextafter(t, -np.inf), v)
-            jumps += [abs(at[0] - below[0]), abs(at[1] - below[1])]
+            jumps += [abs(at.mean - below.mean), abs(at.sigma - below.sigma)]
     for v in volts[1:-1]:
         for t in np.linspace(temps[0], temps[-1], 97):
             at = grid.noise_params(t, v)
             below = grid.noise_params(t, np.nextafter(v, -np.inf))
-            jumps += [abs(at[0] - below[0]), abs(at[1] - below[1])]
+            jumps += [abs(at.mean - below.mean), abs(at.sigma - below.sigma)]
     assert max(jumps) <= 1e-12
 
 
@@ -230,19 +230,22 @@ def test_generate_trace_distribution():
     grid = default_grid()
     adc = default_adc(grid)
     trace = generate_trace(SeededStream(3), grid, 10.0, 2.6, adc, 200_000)
-    mean, sigma = grid.noise_params(10.0, 2.6)
+    noise = grid.noise_params(10.0, 2.6)
+    mean, sigma = noise.mean, noise.sigma
     centers = adc.value(trace.codes)
     fit = fit_gaussian(centers)
     assert abs(fit.mean - mean) < 5.0 * sigma / math.sqrt(200_000)
     assert abs(fit.sigma - sigma) < 5.0 * sigma / math.sqrt(2 * 200_000) + adc.width
     hist = histogram(centers, 256, (mean - 4 * sigma, mean + 4 * sigma))
-    assert kl_divergence(hist, GaussianSpec(mean, sigma)) < 0.01
+    assert kl_divergence(hist, noise) < 0.01
 
 
 def test_generate_trace_saturation_piles_at_edges():
     grid = default_grid()
-    mean, sigma = grid.noise_params(10.0, 2.6)
-    narrow = AdcModel(64, mean - 0.5 * sigma, mean + 0.5 * sigma)
+    noise = grid.noise_params(10.0, 2.6)
+    narrow = AdcModel(
+        64, noise.mean - 0.5 * noise.sigma, noise.mean + 0.5 * noise.sigma
+    )
     trace = generate_trace(SeededStream(4), grid, 10.0, 2.6, narrow, 20_000)
     counts = np.bincount(trace.codes, minlength=64)
     # ~31% of the mass clips to each rail
@@ -302,8 +305,21 @@ def test_sample_trace_rejects_line_break_in_source(brk):
 def test_dequantize_zero_jitter_hits_centers():
     adc = AdcModel(8, 0.0, 8.0)
     trace = SampleTrace(np.arange(8), adc, 10.0, 2.6)
-    out = dequantize_with_jitter(trace, HalfStream())
+    out = dequantize_with_jitter(trace, FixedStream(0.5))  # u = 0.5: bin centers
     np.testing.assert_allclose(out, adc.value(trace.codes), atol=1e-15)
+
+
+def test_dequantize_reaches_the_closed_bins_upper_edge():
+    # 1 - 2**-53, the largest U[0, 1) draw, puts every code exactly on the
+    # upper edge of its closed bin, and 2,126 of those values quantize to
+    # the next code
+    adc = default_adc(default_grid())
+    codes = np.arange(adc.bin_count)
+    trace = SampleTrace(codes, adc, 10.0, 2.6)
+    out = dequantize_with_jitter(trace, FixedStream(1.0 - 2.0**-53))
+    assert np.all(out >= codes * adc.width + adc.range_lo)
+    np.testing.assert_array_equal(out, (codes + 1.0) * adc.width + adc.range_lo)
+    assert np.count_nonzero(adc.quantize(out) == codes + 1) == 2_126
 
 
 def test_dequantize_stays_inside_each_bin():
@@ -366,6 +382,39 @@ def test_store_trace_writes_compact_codes_as_int64_ones(tmp_path):
 
 
 # --- trace files ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+def test_store_trace_writes_the_joined_text_across_blocks(tmp_path, n):
+    codes = np.random.default_rng(n).integers(0, 4096, n)
+    adc = AdcModel(4096, -1.5, 2.25)
+    store_trace(SampleTrace(codes, adc, 10.0, 2.6, source="lab"), tmp_path / "t.trace")
+    header = [
+        "bins=4096",
+        "range_lo=-1.5",
+        "range_hi=2.25",
+        "temperature_c=10.0",
+        "voltage_v=2.6",
+        "sample_rate_hz=1154.0",
+        "source=lab",
+        "",
+    ]
+    text = "\n".join(header + [str(c) for c in codes.tolist()]) + "\n"
+    assert (tmp_path / "t.trace").read_bytes() == text.encode()
+
+
+def test_store_trace_memory_does_not_grow_with_the_trace(tmp_path):
+    # 2**19 codes: the whole body's ints, strs and text at once came to
+    # about 50 MB, one 2**16-line block's to about 6.5 MB
+    codes = np.random.default_rng(0).integers(0, 4096, 2**19)
+    trace = SampleTrace(codes, AdcModel(4096, 0.0, 1.0), 10.0, 2.6)
+    tracemalloc.start()
+    try:
+        store_trace(trace, tmp_path / "t.trace")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_trace_round_trip_bitwise(tmp_path):

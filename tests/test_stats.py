@@ -95,6 +95,7 @@ def test_histogram_refuses_more_bins_than_samples_or_a_block():
 
 def test_fit_gaussian_known_values():
     fit = fit_gaussian([0.0, 2.0])
+    assert isinstance(fit, GaussianSpec)
     assert fit.mean == 1.0
     assert fit.sigma == 1.0  # ML (1/n) spread
     assert fit.n == 2
