@@ -13,15 +13,12 @@ __version__ = "0.1.0"
 
 from .distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
 from .samplers import (
-    AcceptRejectSampler,
-    DisjointSupportError,
     OpCounter,
     SeededStream,
     derive_seed,
     inversion_sample,
     merge_counters,
     reference_gaussian_sample,
-    tight_envelope_constant,
 )
 from .sensor import (
     AdcModel,
@@ -66,12 +63,10 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "AcceptRejectSampler",
     "AdcModel",
     "BenchmarkReport",
     "CacheClosed",
     "CalibrationGrid",
-    "DisjointSupportError",
     "FitResult",
     "GaussianSpec",
     "Histogram",
@@ -109,7 +104,6 @@ __all__ = [
     "run_benchmark",
     "store_calibration",
     "store_trace",
-    "tight_envelope_constant",
     "unit_code_binning",
     "unit_code_kl",
 ]

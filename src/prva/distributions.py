@@ -48,7 +48,7 @@ class UniformSpec:
 
 
 def gaussian_pdf(x, spec: GaussianSpec):
-    """Density of ``spec`` evaluated at ``x`` (scalar or array).
+    """Density of ``spec`` at ``x``: an ndarray of ``x``'s shape, 0-d for a scalar.
 
     exp(-0.5 * z * z) / (sigma * sqrt(2 pi)) with z = (x - mean) / sigma,
     each step in place on one buffer. Squaring before the exact ×−0.5
@@ -70,11 +70,11 @@ def gaussian_pdf(x, spec: GaussianSpec):
         out *= -0.5
         np.exp(out, out=out)
         out /= spec.sigma * math.sqrt(2.0 * math.pi)
-    return out if out.ndim else float(out)
+    return out
 
 
 def gaussian_cdf(x, spec: GaussianSpec):
-    """CDF of ``spec`` at ``x``, via the complementary error function.
+    """CDF of ``spec`` at ``x``: an ndarray of ``x``'s shape, 0-d for a scalar.
 
     erfc is used instead of ``0.5*(1+erf(z/sqrt(2)))`` so the deep lower
     tail keeps full relative precision; tail mass enters the KL and
@@ -83,6 +83,8 @@ def gaussian_cdf(x, spec: GaussianSpec):
     an arbitrary-precision reference out to erfc(26) ~ 1e-296.
     """
     z = (np.asarray(x, dtype=float) - spec.mean) / spec.sigma
-    out = 0.5 * _erfc(-z / math.sqrt(2.0))
-    return out if out.ndim else float(out)
+    # halved in place: 0.5 * a 0-d array would return a numpy scalar
+    out = _erfc(-z / math.sqrt(2.0))
+    out *= 0.5
+    return out
 

@@ -1,11 +1,9 @@
 """Classical variate generators with explicit operation accounting.
 
-Three generation routes live here:
+Two generation routes live here:
 
 * :func:`inversion_sample` — inverse-CDF sampling of a uniform
   distribution, the affine map lo + u * width.
-* :class:`AcceptRejectSampler` — rejection sampling of a Gaussian target
-  under the tightest scaled uniform envelope.
 * :func:`reference_gaussian_sample` — a polar-method Gaussian generator
   used as the software baseline everywhere a trusted normal source is
   needed.
@@ -22,16 +20,11 @@ may share one across stages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
-
-
-class DisjointSupportError(ValueError):
-    """Raised when the proposal support misses the target's mass region."""
+from .distributions import GaussianSpec, UniformSpec
 
 
 @dataclass
@@ -145,89 +138,6 @@ def inversion_sample(stream: SeededStream, spec: UniformSpec, size: int) -> np.n
     the dequantizer's jitter is a raw :meth:`SeededStream.uniforms` draw.
     """
     return affine(stream.uniforms(size), spec.width, spec.lo, stream.counter)
-
-
-def tight_envelope_constant(target: GaussianSpec, proposal: UniformSpec) -> float:
-    """Smallest c with target pdf <= c * proposal pdf on the proposal support.
-
-    A Gaussian density is highest on [lo, hi] at the support point nearest
-    the mean, so c = width * pdf(min(max(mean, lo), hi)), exactly. A support
-    that truncates the target gives c < 1.
-    """
-    peak = min(max(target.mean, proposal.lo), proposal.hi)
-    return proposal.width * gaussian_pdf(peak, target)
-
-
-class AcceptRejectSampler:
-    """Gaussian target under a scaled uniform proposal, standard accept test.
-
-    A candidate X is drawn uniformly on the proposal support and accepted
-    when U <= f(X) / (c * u(X)), which reproduces the target density
-    restricted to the support. The envelope constant is derived, not
-    chosen: ``c`` is :func:`tight_envelope_constant`, the smallest that
-    dominates the target on the support, so each attempt is accepted with
-    the highest probability any valid envelope allows. Construction fails
-    when the support misses the target's mass region (more than eight
-    sigma from the mean) or when c is not finite and positive (a support
-    whose width overflows, or whose c underflows to 0).
-
-    Every attempt consumes exactly two uniforms (candidate + test) and is
-    charged ten arithmetic operations: two additions, three multiplies,
-    three divisions, one exponential, one comparison.
-    """
-
-    def __init__(self, target: GaussianSpec, proposal: UniformSpec):
-        reach = 8.0 * target.sigma
-        if proposal.hi < target.mean - reach or proposal.lo > target.mean + reach:
-            raise DisjointSupportError(
-                f"proposal support [{proposal.lo}, {proposal.hi}] does not overlap "
-                f"the target mass region [{target.mean - reach}, {target.mean + reach}]"
-            )
-        c = tight_envelope_constant(target, proposal)
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError(
-                f"envelope constant {c} on support [{proposal.lo}, {proposal.hi}] "
-                f"is not finite and positive"
-            )
-        self.target = target
-        self.proposal = proposal
-        self.c = c
-
-    @property
-    def accept_probability(self) -> float:
-        """Exact acceptance probability of the standard test."""
-        lo, hi, mean = self.proposal.lo, self.proposal.hi, self.target.mean
-        # a support above the mean is reflected into the lower tail, where
-        # the erfc-based CDF keeps full precision instead of cancelling near 1
-        if lo > mean:
-            lo, hi = 2.0 * mean - hi, 2.0 * mean - lo
-        mass = gaussian_cdf(hi, self.target) - gaussian_cdf(lo, self.target)
-        return mass / self.c
-
-    def sample(self, stream: SeededStream, size: int) -> np.ndarray:
-        """Draw ``size`` variates of the truncated target as an ndarray."""
-        n = int(size)
-        out = np.empty(n, dtype=float)
-        filled = 0
-        counter = stream.counter
-        u_density = 1.0 / self.proposal.width
-        p = max(self.accept_probability, 1e-6)
-        while filled < n:
-            batch = min(4_000_000, int((n - filled) / p * 1.15) + 16)
-            x = inversion_sample(stream, self.proposal, batch)
-            u = stream.uniforms(batch)
-            accept = u <= gaussian_pdf(x, self.target) / (self.c * u_density)
-            counter.additions += batch  # the candidate map charged its own
-            counter.multiplications += 2 * batch
-            counter.divisions += 3 * batch
-            counter.transcendental_evals += batch
-            counter.comparisons += batch
-            kept = x[accept]
-            counter.rejections += batch - kept.size
-            take = min(kept.size, n - filled)
-            out[filled : filled + take] = kept[:take]
-            filled += take
-        return out
 
 
 # candidate pairs per block of the polar sampler's kept-pair work

@@ -6,10 +6,9 @@ terminal summary so a plain pytest run always ends with the verdict
 table. These are whole-package statistical checks — KL regime
 separation, quantization trend, Monte Carlo error structure, transform
 fidelity, operation economy, drift compensation, bit-level determinism,
-and brute-force oracles — each with a wall-clock budget.
+and a brute-force quadrature oracle — each with a wall-clock budget.
 """
 
-import math
 import time
 from dataclasses import asdict
 
@@ -19,7 +18,6 @@ import pytest
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
 from prva.montecarlo import mc_integrate, run_benchmark
 from prva.samplers import (
-    AcceptRejectSampler,
     OpCounter,
     SeededStream,
     derive_seed,
@@ -262,16 +260,6 @@ def test_criterion_5_operation_economy(acceptance):
         and counter.additions == n
         and counter.total_ops == 2 * n
     )
-    target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    ar = OpCounter()
-    sampler.sample(SeededStream(derive_seed(SEED, 51), ar), 21_000)
-    attempts = ar.uniform_draws // 2
-    ar_ok = (
-        ar.uniform_draws == 2 * attempts
-        and ar.total_ops >= 10 * attempts
-        and attempts > 21_000
-    )
     # the host side of prva: on n codes, compensate and apply charge 3 ops
     # to dequantize, 2 to standardize and 2 to retarget, and 1 draw, per
     # variate; the polar sampler pays more ops per variate at the same n
@@ -289,13 +277,11 @@ def test_criterion_5_operation_economy(acceptance):
         and host.total_ops < polar.total_ops
     )
     elapsed = time.perf_counter() - t0
-    ok = transform_ok and ar_ok and host_ok and elapsed < 60
+    ok = transform_ok and host_ok and elapsed < 60
     detail = (
         f"transform charged {counter.total_ops / n:g} ops/variate "
         f"(1 mul + 1 add; wall {wall_ns:.1f} ns/variate, reported only); "
-        f"accept-reject charged {ar.total_ops / attempts:g} ops and "
-        f"{ar.uniform_draws / attempts:g} draws per attempt over "
-        f"{attempts} attempts; prva's host side (compensate + apply) charged "
+        f"prva's host side (compensate + apply) charged "
         f"{host.total_ops / n:g} ops and {host.uniform_draws / n:g} draws per "
         f"variate (7 and 1) against polar's {polar.total_ops / n:g} ops, "
         f"{elapsed:.1f}s < 60s"
@@ -365,10 +351,6 @@ def test_criterion_7_determinism(acceptance):
         reference_gaussian_sample(SeededStream(7), SENSOR, 10_000),
         reference_gaussian_sample(SeededStream(7), SENSOR, 10_000),
     )
-    sampler = AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0))
-    checks["accept-reject"] = np.array_equal(
-        sampler.sample(SeededStream(7), 5_000), sampler.sample(SeededStream(7), 5_000)
-    )
     grid = default_grid()
     adc = default_adc(grid, 10.0, 2.6)
     checks["trace codes"] = np.array_equal(
@@ -411,24 +393,10 @@ def test_criterion_8_brute_force_oracles(acceptance):
     pdf = gaussian_pdf(dense, target)
     area_dense = float((np.diff(dense) * (pdf[1:] + pdf[:-1]) / 2.0).sum())
     quad_gap = abs(area_mc - area_dense)
-    proposal = UniformSpec(-6.0, 6.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    counter = OpCounter()
-    n = 21_000
-    sampler.sample(SeededStream(derive_seed(SEED, 81), counter), n)
-    attempts = counter.uniform_draws // 2
-    # every attempt's outcome counts, including accepted values past the
-    # requested size that the sampler discards
-    p_hat = (attempts - counter.rejections) / attempts
-    p = 1.0 / sampler.c
-    se = math.sqrt(p * (1.0 - p) / attempts)
-    gap_se = abs(p_hat - p) / se
     elapsed = time.perf_counter() - t0
-    ok = quad_gap < 1e-6 and gap_se <= 3.0 and elapsed < 120
+    ok = quad_gap < 1e-6 and elapsed < 120
     detail = (
         f"random-abscissa trapezoid vs dense uniform-grid quadrature gap "
-        f"{quad_gap:.2e} (< 1e-6); acceptance rate {p_hat:.5f} vs analytic "
-        f"1/c {p:.5f} ({gap_se:.2f} SE over {attempts} attempts), "
-        f"{elapsed:.1f}s < 120s"
+        f"{quad_gap:.2e} (< 1e-6), {elapsed:.1f}s < 120s"
     )
     assert acceptance("8", ok, detail), detail

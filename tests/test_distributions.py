@@ -124,3 +124,16 @@ def test_import_does_not_load_scipy():
         timeout=120,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_public_surface_resolves_and_star_imports_clean():
+    names = prva.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(prva, name)
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec("from prva import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)

@@ -3,15 +3,14 @@
 The polar sampler, ``AdcModel.quantize``/``value``,
 ``dequantize_with_jitter``, ``gaussian_pdf``, ``mc_integrate``,
 ``inversion_sample``, ``apply`` and ``histogram`` work in place on
-buffers they own, and ``AcceptRejectSampler.sample`` maps its candidates
-through ``inversion_sample``. The functions below spell out the same IEEE
+buffers they own. The functions below spell out the same IEEE
 operations as plain numpy expressions, one temporary per step, and
 serve as the reference: every output bit and every ``OpCounter``
 charge, draws included, of the library kernels must equal theirs. The
 blocked ``fit_gaussian`` must give ``x.std(ddof=0)`` to the last bit.
-``quantize`` and ``value`` return arrays for every input, so a scalar
-input comes back as a 0-d array, and ``quantize``'s codes come in the
-smallest unsigned dtype that holds ``bin_count - 1``.
+``quantize``, ``value`` and ``gaussian_pdf`` return arrays for every
+input, so a scalar input comes back as a 0-d array, and ``quantize``'s
+codes come in the smallest unsigned dtype that holds ``bin_count - 1``.
 The ``tracemalloc`` checks at the end bound how many n-sized buffers
 the scoring kernels, the uniform inverter and the cache drain allocate.
 """
@@ -25,7 +24,6 @@ import pytest
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
 from prva.montecarlo import mc_integrate
 from prva.samplers import (
-    AcceptRejectSampler,
     OpCounter,
     SeededStream,
     inversion_sample,
@@ -231,7 +229,7 @@ def gaussian_pdf_expression(x, spec):
     with np.errstate(over="ignore"):
         z = (np.asarray(x, dtype=float) - spec.mean) / spec.sigma
         out = np.exp(-0.5 * z * z) / (spec.sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
+    return np.asarray(out)
 
 
 def mc_integrate_area_expression(samples, target):
@@ -363,50 +361,6 @@ def test_inverse_cdf_matches_expression_form_at_the_edges():
             want = inversion_expression(want_stream, spec, len(values))
             assert_identical(got, want)
             assert_same_streams(got_stream, want_stream)
-
-
-# the accept-reject baseline is off the benchmark path, but its candidates
-# come from inversion_sample
-
-
-def accept_reject_expression(sampler, stream, n):
-    out = np.empty(n, dtype=float)
-    filled = 0
-    counter = stream.counter
-    lo, width = sampler.proposal.lo, sampler.proposal.width
-    p = max(sampler.accept_probability, 1e-6)
-    while filled < n:
-        batch = min(4_000_000, int((n - filled) / p * 1.15) + 16)
-        x = lo + stream.uniforms(batch) * width
-        u = stream.uniforms(batch)
-        accept = u <= gaussian_pdf_expression(x, sampler.target) / (sampler.c * (1.0 / width))
-        counter.additions += 2 * batch
-        counter.multiplications += 3 * batch
-        counter.divisions += 3 * batch
-        counter.transcendental_evals += batch
-        counter.comparisons += batch
-        kept = x[accept]
-        counter.rejections += batch - kept.size
-        take = min(kept.size, n - filled)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-    return out
-
-
-# a support holding the mass, one truncating it, and one in the far tail
-SUPPORTS = (UniformSpec(-6.0, 6.0), UniformSpec(2.0, 6.0), UniformSpec(7.99, 8.0))
-
-
-@pytest.mark.parametrize("support", SUPPORTS, ids=("full", "truncating", "far-tail"))
-@pytest.mark.parametrize("size", [1, 2, 17, 100, 10**5])
-@pytest.mark.parametrize("seed", [0, 2024])
-def test_accept_reject_matches_expression_form(seed, size, support):
-    sampler = AcceptRejectSampler(STANDARD, support)
-    got_stream, want_stream = SeededStream(seed), SeededStream(seed)
-    got = sampler.sample(got_stream, size)
-    want = accept_reject_expression(sampler, want_stream, size)
-    assert_identical(got, want)
-    assert_same_streams(got_stream, want_stream)
 
 
 @pytest.mark.parametrize("size", [s for s in SIZES if s is not None])

@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
+from prva.distributions import GaussianSpec, UniformSpec
 from prva.samplers import (
-    AcceptRejectSampler,
-    DisjointSupportError,
     OpCounter,
     SeededStream,
     derive_seed,
     inversion_sample,
     merge_counters,
     reference_gaussian_sample,
-    tight_envelope_constant,
 )
-from prva.stats import fit_gaussian, histogram, kl_divergence
 
 
 class ScriptedStream:
@@ -149,118 +145,6 @@ def test_inversion_determinism_and_frozen_values():
     )
 
 
-def test_tight_envelope_constant():
-    # symmetric support around the mean: c = width * peak density
-    c = tight_envelope_constant(GaussianSpec(0.0, 1.0), UniformSpec(-6.0, 6.0))
-    assert math.isclose(c, 12.0 / math.sqrt(2.0 * math.pi), rel_tol=1e-12)
-    # support that misses the mean: peak sits at the nearest edge
-    c_off = tight_envelope_constant(GaussianSpec(0.0, 1.0), UniformSpec(2.0, 6.0))
-    peak = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
-    assert math.isclose(c_off, 4.0 * peak, rel_tol=1e-9)
-
-
-def test_tight_envelope_constant_is_exact_on_asymmetric_support():
-    # the mean is inside [-1, 6], so the peak density sits at the mean
-    target = GaussianSpec(0.0, 1.0)
-    c = tight_envelope_constant(target, UniformSpec(-1.0, 6.0))
-    assert c == 7.0 * gaussian_pdf(0.0, target)
-
-
-def test_accept_reject_truncating_support_uses_tight_constant():
-    # U(2, 6) truncates N(0, 1), so the tight c is below 1
-    target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(2.0, 6.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    assert sampler.c == tight_envelope_constant(target, proposal)
-    p = sampler.accept_probability
-    assert abs(p - 0.105) < 0.001
-    stream = SeededStream(11)
-    x = sampler.sample(stream, 10_000)
-    assert x.min() >= 2.0 and x.max() <= 6.0
-    attempts = stream.counter.uniform_draws // 2
-    p_hat = (attempts - stream.counter.rejections) / attempts
-    assert abs(p_hat - p) < 3.0 * math.sqrt(p * (1.0 - p) / attempts)
-
-
-def test_accept_reject_far_tail_support_returns():
-    # a fixed c = 1 here accepted with probability 3e-14; the tight c, 26%
-    sampler = AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(7.5, 8.0))
-    x = sampler.sample(SeededStream(4), 1_000)
-    assert x.size == 1_000
-    assert x.min() >= 7.5 and x.max() <= 8.0
-
-
-@pytest.mark.parametrize(
-    "target, proposal",
-    [
-        (GaussianSpec(0.0, 1e300), UniformSpec(0.0, 5e-324)),  # c underflows to 0
-        (GaussianSpec(0.0, 1.0), UniformSpec(-1e308, 1e308)),  # width overflows
-    ],
-)
-def test_accept_reject_rejects_nonfinite_or_zero_constant(target, proposal):
-    with pytest.raises(ValueError, match=r"support \["):
-        AcceptRejectSampler(target, proposal)
-
-
-def test_accept_reject_disjoint_support():
-    with pytest.raises(DisjointSupportError):
-        AcceptRejectSampler(GaussianSpec(0.0, 1.0), UniformSpec(100.0, 110.0))
-
-
-def test_accept_reject_distribution():
-    target = GaussianSpec(0.0, 1.0)
-    proposal = UniformSpec(-6.0, 6.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    x = sampler.sample(SeededStream(5), 200_000)
-    fit = fit_gaussian(x)
-    assert abs(fit.mean) < 0.015
-    assert abs(fit.sigma - 1.0) < 0.012
-    hist = histogram(x, 256, (-4.0, 4.0))
-    assert kl_divergence(hist, target) < 0.01
-    assert x.min() >= proposal.lo and x.max() <= proposal.hi
-
-
-def test_accept_reject_determinism_and_scalar():
-    target = GaussianSpec(0.0, 1.0)
-    proposal = UniformSpec(-6.0, 6.0)
-    a = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
-    b = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 5_000)
-    np.testing.assert_array_equal(a, b)
-    # one variate is still an array
-    one = AcceptRejectSampler(target, proposal).sample(SeededStream(77), 1)
-    assert isinstance(one, np.ndarray) and one.shape == (1,)
-
-
-def test_accept_reject_op_accounting():
-    target = GaussianSpec(0.0, 1.0)
-    proposal = UniformSpec(-6.0, 6.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    stream = SeededStream(3)
-    n = 30_000
-    x = sampler.sample(stream, n)
-    counter = stream.counter
-    assert counter.uniform_draws % 2 == 0
-    attempts = counter.uniform_draws // 2
-    assert attempts >= n
-    assert counter.rejections <= attempts - n
-    # per attempt exactly: 2 uniforms, 2 additions, 3 multiplies,
-    # 3 divisions, 1 comparison and 1 exponential
-    want = OpCounter(
-        multiplications=3 * attempts,
-        additions=2 * attempts,
-        divisions=3 * attempts,
-        comparisons=attempts,
-        transcendental_evals=attempts,
-        uniform_draws=2 * attempts,
-        rejections=counter.rejections,
-    )
-    assert counter.as_dict() == want.as_dict()
-    # observed acceptance rate near the analytic one
-    p = sampler.accept_probability
-    p_hat = (attempts - counter.rejections) / attempts
-    assert abs(p_hat - p) < 3.0 * math.sqrt(p * (1.0 - p) / attempts)
-    assert x.size == n
-
-
 def test_polar_reference_moments():
     spec = GaussianSpec(980.794, 7.178)
     x = reference_gaussian_sample(SeededStream(1), spec, 1_000_000)
@@ -300,17 +184,3 @@ def test_polar_rejection_accounting():
     # unit-square-to-disc rejection rate is 1 - pi/4
     assert abs(rate - (1.0 - math.pi / 4.0)) < 0.01
     assert counter.transcendental_evals > 0
-
-
-def test_accept_reject_upper_tail_acceptance_keeps_precision():
-    # a support above the mean used to subtract two CDF values near 1:
-    # on U(7.99, 8) the probability came out 0.0, and one variate drew
-    # 2,300,032 uniforms
-    target, proposal = GaussianSpec(0.0, 1.0), UniformSpec(7.99, 8.0)
-    sampler = AcceptRejectSampler(target, proposal)
-    mass = 0.5 * (math.erfc(7.99 / math.sqrt(2.0)) - math.erfc(8.0 / math.sqrt(2.0)))
-    assert math.isclose(sampler.accept_probability, mass / sampler.c, rel_tol=1e-12)
-    stream = SeededStream(1)
-    x = sampler.sample(stream, 1)
-    assert 7.99 <= x[0] <= 8.0
-    assert stream.counter.uniform_draws <= 64
