@@ -11,7 +11,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from prva.distributions import GaussianSpec, gaussian_cdf, gaussian_pdf  # noqa: E402
+from prva.distributions import (  # noqa: E402
+    GaussianSpec,
+    UniformSpec,
+    gaussian_cdf,
+    gaussian_pdf,
+)
 from prva.montecarlo import mc_integrate  # noqa: E402
 from prva.samplers import SeededStream  # noqa: E402
 from prva.sensor import (  # noqa: E402
@@ -174,13 +179,35 @@ def test_kernels_leave_their_inputs_unmodified(x, seed):
 
 
 @given(v=moderate, wrap=st.sampled_from((float, np.float64, np.array)))
-def test_kernels_return_0d_arrays_for_scalar_input(v, wrap):
-    # a Python scalar, numpy scalar or 0-d array; quantize, value and apply
-    # return 0-d arrays for these too, as test_kernel_identity and
-    # test_transform check
+def test_kernels_return_python_scalars_for_scalar_input(v, wrap):
+    # a Python scalar, numpy scalar or 0-d array goes in; what comes out is
+    # a 0-d float64 array, not a Python float, as quantize, value and apply
+    # give (test_kernel_identity and test_transform check those)
     for kernel in (gaussian_pdf, gaussian_cdf):
         got = kernel(wrap(v), SPEC)
         assert type(got) is np.ndarray
         assert got.shape == () and got.dtype == np.float64
         # the scalar and array paths agree bit for bit
         assert got.tobytes() == kernel(np.array([v]), SPEC).tobytes()
+
+
+@given(
+    mean=st.floats(min_value=-1e3, max_value=1e3),
+    sigma=st.floats(min_value=1e-3, max_value=1e3),
+    edge=st.floats(min_value=-8.0, max_value=8.0),
+    width=st.floats(min_value=1e-3, max_value=30.0),
+    edge_is_lo=st.booleans(),
+)
+def test_envelope_dominates_target_on_any_support_within_reach(
+    mean, sigma, edge, width, edge_is_lo
+):
+    # the density is unimodal: on any support, the flat envelope at the
+    # density of the point nearest the mean bounds it; one end of the
+    # support lies within 8 sigma of the mean, so that bound is not 0
+    lo = edge if edge_is_lo else edge - width
+    target = GaussianSpec(mean, sigma)
+    support = UniformSpec(mean + lo * sigma, mean + (lo + width) * sigma)
+    peak = gaussian_pdf(np.clip(mean, support.lo, support.hi), target)
+    assert peak > 0.0
+    grid = np.linspace(support.lo, support.hi, 10_001)
+    assert gaussian_pdf(grid, target).max() <= peak * (1.0 + 1e-12)
