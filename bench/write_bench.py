@@ -12,7 +12,8 @@ sets, and keeps the JSON object each run prints as its last line. It
 adds what perfbench does not measure:
 
 * wall time and peak RSS of ``prva generate``, of ``prva transform``
-  at n = 10^6 and 10^7 and of ``prva benchmark``, each a fresh child
+  replaying the 10^6-code trace that generate writes and at n = 10^6
+  and 10^7, and of ``prva benchmark``, each a fresh child
   whose usage is read with ``os.wait4``, with the checkout directory's
   name beside each peak RSS (glibc's mmap threshold makes it depend on
   the directory), and the ops and draws per variate ``prva benchmark``
@@ -86,6 +87,9 @@ def cli_runs(root: str, env: dict, seed: int) -> list:
         trace = os.path.join(tmp, "trace.txt")
         commands = [
             ("generate", [*prva, "generate", "--n", "1000000", "--out", trace, "--seed", str(seed)]),
+            # replays the trace just written: load_trace's memory at 10^6 codes
+            ("transform_trace", [*prva, "transform", "--trace", trace, "--target-mean", "5",
+                                 "--target-sigma", "2", "--seed", str(seed)]),
             *(
                 (f"transform_n{n}", [*prva, "transform", "--n", str(n), "--target-mean", "5",
                                      "--target-sigma", "2", "--seed", str(seed)])

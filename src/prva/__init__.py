@@ -47,7 +47,6 @@ from .stats import (
 )
 from .transform import (
     CacheClosed,
-    TransformCoeffs,
     VariateCache,
     apply,
     compensate,
@@ -74,7 +73,6 @@ __all__ = [
     "OpCounter",
     "SampleTrace",
     "SeededStream",
-    "TransformCoeffs",
     "UniformSpec",
     "VariateCache",
     "apply",

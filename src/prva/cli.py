@@ -42,7 +42,7 @@ from .stats import (
     quantization_sweep,
     unit_code_kl,
 )
-from .transform import VariateCache, compensate, fill_cache, make_coeffs
+from .transform import VariateCache, compensate, fill_cache
 from .montecarlo import run_benchmark
 
 # room in the FIFO between the transform's producer and its drain
@@ -257,9 +257,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace) if args.trace else _synthesize(args, grid, stream)
     values = compensate(trace, None if args.self_calibrate else grid, stream=stream)
     target = GaussianSpec(args.target_mean, args.target_sigma)
-    coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
     cache = VariateCache(min(_CACHE_CAPACITY, values.size), target)
-    fill_cache(cache, values, coeffs, counter=stream.counter, background=True)
+    fill_cache(cache, values, target, counter=stream.counter, background=True)
     out = cache.get_many(values.size)
     fit = fit_gaussian(out)
     hist = histogram(
@@ -267,7 +266,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     )
     kl = kl_divergence(hist, target)
     print(f"n={out.size}")
-    print(f"coeffs scale={coeffs.scale!r} offset={coeffs.offset!r}")
+    print(f"coeffs scale={target.sigma!r} offset={target.mean!r}")
     print(f"fit_mean={fit.mean!r}")
     print(f"fit_sigma={fit.sigma!r}")
     print(f"kl_nats={kl!r}")

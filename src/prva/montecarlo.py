@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .sensor import (
     load_trace,
 )
 from .stats import confidence_interval_90
-from .transform import VariateCache, compensate, fill_cache, make_coeffs
+from .transform import VariateCache, compensate, fill_cache
 
 
 class UnknownSourceError(ValueError):
@@ -243,14 +243,15 @@ class BenchmarkReport:
         return lines
 
 
-@cache
+@lru_cache(maxsize=1)
 def _pool(executor, threads: int):
     """The process's long-lived pool of ``threads`` workers of ``executor``.
 
     Reusing the workers across calls keeps their malloc arenas warm, where
     a fresh pool per call faults the arenas' pages in again on every call.
-    Only a process that calls ``run_benchmark`` more than once gains; the
-    pool is never shut down, so its threads live until the process exits.
+    Only a process that calls ``run_benchmark`` more than once gains. A
+    call with another thread count or executor replaces the one kept pool,
+    and the replaced pool's idle workers exit.
     """
     return executor(max_workers=threads)
 
@@ -281,9 +282,9 @@ def run_benchmark(
     produces are independent of scheduling; jobs are distributed over
     ``threads`` worker threads and reduced in repetition order, which
     keeps every non-timing field of the report identical across thread
-    counts. The workers are long-lived: calls with the same thread count
-    share one pool, whose threads live until the process exits, and a
-    forked child starts a pool of its own.
+    counts. The workers are long-lived: consecutive calls with the same
+    thread count share one pool, which the next call with another count
+    replaces, and a forked child starts a pool of its own.
     Per-source operation counters are merged over repetitions. A job's
     wall time is one clock window from the draw of its n samples
     to their integral; a ``prva`` job fills its cache before the window
@@ -332,8 +333,7 @@ def run_benchmark(
             except GridRangeError:
                 values = compensate(trace, None, stream=stream)
             cache = VariateCache(n, target)
-            coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
-            fill_cache(cache, values, coeffs, counter=counter)
+            fill_cache(cache, values, target, counter=counter)
             # the cache holds the retargeted copy. Freed before the drain, the
             # inputs' memory is reused by its buffers, so the worker's malloc
             # arena stays below the trim threshold and is not faulted in anew

@@ -122,15 +122,19 @@ class AdcModel:
     range_hi: float
 
     def __post_init__(self):
-        if int(self.bin_count) != self.bin_count or self.bin_count < 2:
-            raise ValueError(f"bin_count must be an integer >= 2, got {self.bin_count}")
+        count = self.bin_count
+        # NaN and inf fail the range test before int() can raise on them
+        if not (2 <= count < math.inf and int(count) == count):
+            raise ValueError(f"bin_count must be an integer >= 2, got {count}")
         # codes pass through float64 in quantize, value and
         # dequantize_with_jitter; above 2**53 they stop being exact there
-        if self.bin_count > 2**53:
+        if count > 2**53:
             raise ValueError(
-                f"bin_count {self.bin_count} exceeds 2**53, the largest count "
+                f"bin_count {count} exceeds 2**53, the largest count "
                 f"whose codes are exact in float64"
             )
+        # an integral float count would make code_dtype a float dtype
+        object.__setattr__(self, "bin_count", int(count))
         if not (math.isfinite(self.range_lo) and math.isfinite(self.range_hi)):
             raise ValueError("ADC range bounds must be finite")
         if not self.range_lo < self.range_hi:
@@ -394,7 +398,7 @@ def _write_lines(fh, values) -> None:
 def store_trace(trace: SampleTrace, path) -> None:
     """Write a trace in the key=value header + one-code-per-line format."""
     header = [
-        f"bins={int(trace.adc.bin_count)}",
+        f"bins={trace.adc.bin_count}",
         f"range_lo={float(trace.adc.range_lo)!r}",
         f"range_hi={float(trace.adc.range_hi)!r}",
         f"temperature_c={float(trace.temperature_c)!r}",

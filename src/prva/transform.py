@@ -2,20 +2,19 @@
 
 A Gaussian source is carried to any other Gaussian by a single affine
 map, so once a code stream has been dequantized its per-variate cost is
-exactly one multiply and one add regardless of the target. This module
-computes those coefficients, applies them under op accounting, undoes
-operating-point drift by standardizing against the calibration grid
-(:func:`compensate`), and buffers finished variates in a bounded FIFO
-(:class:`VariateCache`) so production and consumption can proceed on
-separate threads.
+exactly one multiply and one add regardless of the target. From N(0, 1)
+that map is the target itself, y = sigma * x + mean, so a
+``GaussianSpec`` is the retarget's whole program. This module applies
+it under op accounting, undoes operating-point drift by standardizing
+against the calibration grid (:func:`compensate`), and buffers finished
+variates in a bounded FIFO (:class:`VariateCache`) so production and
+consumption can proceed on separate threads.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,37 +32,25 @@ class CoeffsMismatchError(ValueError):
     """Coefficients deliver a different Gaussian than the cache is labeled with."""
 
 
-@dataclass(frozen=True)
-class TransformCoeffs:
-    """Affine map y = scale * x + offset between two Gaussians."""
+def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> GaussianSpec:
+    """The Gaussian that the map carrying ``src`` onto ``dst`` makes of N(0, 1).
 
-    scale: float
-    offset: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
-            raise ValueError("transform coefficients must be finite")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> TransformCoeffs:
-    """Coefficients carrying N(src.mean, src.sigma) onto N(dst.mean, dst.sigma).
-
-    scale = dst.sigma / src.sigma and offset = dst.mean - scale * src.mean,
-    so scale * src.mean + offset reproduces dst.mean exactly.
+    Its sigma is the map's scale s = dst.sigma / src.sigma and its mean the
+    offset dst.mean - s * src.mean. From N(0, 1) both are exact, so the
+    result has ``dst``'s mean and sigma bit for bit.
     """
     scale = dst.sigma / src.sigma
-    return TransformCoeffs(scale=scale, offset=dst.mean - scale * src.mean)
+    return GaussianSpec(dst.mean - scale * src.mean, scale)
 
 
-def apply(coeffs: TransformCoeffs, x, counter: OpCounter | None = None):
-    """New array of scale * x + offset, written by :func:`~prva.samplers.affine`.
+def apply(spec: GaussianSpec, x, counter: OpCounter | None = None):
+    """New array of spec.sigma * x + spec.mean: N(0, 1) values carried onto ``spec``.
 
-    That kernel charges ``counter`` one multiply and one add per value.
+    Written by :func:`~prva.samplers.affine`, which charges ``counter``
+    one multiply and one add per value.
     """
     arr = np.asarray(x, dtype=float)
-    return affine(arr, coeffs.scale, coeffs.offset, counter, out=np.empty_like(arr))
+    return affine(arr, spec.sigma, spec.mean, counter, out=np.empty_like(arr))
 
 
 def compensate(
@@ -89,18 +76,18 @@ def compensate(
     values = dequantize_with_jitter(trace, stream)
     if grid is None:
         src = fit_gaussian(values)
-    coeffs = make_coeffs(src, GaussianSpec(0.0, 1.0))
-    return affine(values, coeffs.scale, coeffs.offset, stream.counter)
+    standardize = make_coeffs(src, GaussianSpec(0.0, 1.0))
+    return affine(values, standardize.sigma, standardize.mean, stream.counter)
 
 
 class VariateCache:
     """Bounded FIFO of finished variates, one producer and one consumer.
 
     The cache is labeled with the Gaussian its contents are supposed to
-    follow (``requested_spec``); :func:`fill_cache` refuses coefficients
-    that would deliver anything else. Writes block while the cache is
-    full and reads block while it is empty, so a slow consumer throttles
-    the producer instead of growing memory. ``close()`` marks the end of
+    follow (``requested_spec``); :func:`fill_cache` refuses to retarget
+    onto any other Gaussian. Writes block while the cache is full and
+    reads block while it is empty, so a slow consumer throttles the
+    producer instead of growing memory. ``close()`` marks the end of
     production: readers drain what remains and then see CacheClosed, or,
     when production failed (``close(error)``), the producer's exception.
 
@@ -237,21 +224,21 @@ class VariateCache:
 def fill_cache(
     cache: VariateCache,
     values,
-    coeffs: TransformCoeffs,
+    coeffs: GaussianSpec,
     *,
     counter: OpCounter | None = None,
     background: bool = False,
     chunk_size: int = 8192,
 ):
-    """Retarget standardized values through ``coeffs`` into ``cache``.
+    """Retarget standardized values onto the Gaussian ``coeffs`` into ``cache``.
 
     ``values`` is the N(0, 1) stream from :func:`compensate`, read as one
     flat float array (in place, so it must not change while a background
-    fill runs) ``chunk_size`` values at a time; the cache keeps a copy of
-    each retargeted chunk. Before anything is produced, ``chunk_size``
-    below 1 raises ValueError, and coefficients other than exactly
-    ``make_coeffs(GaussianSpec(0.0, 1.0), cache.requested_spec)`` raise
-    CoeffsMismatchError.
+    fill runs) ``chunk_size`` values at a time; each chunk goes through
+    :func:`apply` and the cache keeps a copy of the result. Before anything
+    is produced, ``chunk_size`` below 1 raises ValueError, and a ``coeffs``
+    whose mean and sigma are not exactly those of ``cache.requested_spec``
+    raises CoeffsMismatchError.
     With ``background=True`` production runs on a daemon thread and the
     started thread is returned, which is the producer/consumer arrangement
     the cache exists for; an exception in production is kept on the cache
@@ -263,9 +250,10 @@ def fill_cache(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     spec = cache.requested_spec
-    if coeffs != make_coeffs(GaussianSpec(0.0, 1.0), spec):
+    # the pairs, not the dataclasses: a FitResult label equals its GaussianSpec
+    if (coeffs.mean, coeffs.sigma) != (spec.mean, spec.sigma):
         raise CoeffsMismatchError(
-            f"coefficients deliver N({coeffs.offset}, {coeffs.scale}) into a "
+            f"coefficients deliver N({coeffs.mean}, {coeffs.sigma}) into a "
             f"cache labeled N({spec.mean}, {spec.sigma})"
         )
     arr = np.asarray(values, dtype=float).ravel()

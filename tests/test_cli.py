@@ -166,6 +166,16 @@ def test_transform_synthesizes_and_retargets(capsys, tmp_path):
     assert "cache capacity=20000" in out
 
 
+def test_transform_prints_the_target_as_its_coeffs(capsys):
+    # from N(0, 1) the retarget map's scale and offset are the target's
+    # sigma and mean, printed as their reprs
+    code, out, _ = run_cli(
+        capsys, "transform", "--n", "2000", "--target-mean", "5", "--target-sigma", "2"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "coeffs scale=2.0 offset=5.0"
+
+
 @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
 def test_transform_out_is_the_joined_text_across_blocks(capsys, tmp_path, n):
     out_file = tmp_path / "variates.txt"

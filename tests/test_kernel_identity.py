@@ -259,8 +259,8 @@ class FixedStream:
         return self.values.copy()
 
 
-def apply_expression(coeffs, x):
-    return coeffs.scale * np.asarray(x, dtype=float) + coeffs.offset
+def apply_expression(spec, x):
+    return spec.sigma * np.asarray(x, dtype=float) + spec.mean
 
 
 def histogram_counts_expression(samples, bins, lo, hi):

@@ -187,6 +187,31 @@ def test_benchmark_reuses_its_worker_threads(monkeypatch):
     assert per_call[0] == per_call[1] == per_call[2]
 
 
+def test_benchmark_keeps_only_the_last_thread_counts_pool(monkeypatch):
+    # a pool per thread count, kept forever, left 1 + 2 + 3 idle workers
+    # after calls at 1, 2 and 3 threads; a replaced pool's workers exit
+    real = montecarlo.mc_integrate
+    workers = []
+
+    def recording_integrate(*args, **kwargs):
+        workers[-1].add(threading.current_thread())
+        time.sleep(0.01)  # a busy worker makes the others take jobs too
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_integrate", recording_integrate)
+    for threads in (1, 2, 3):
+        workers.append(set())
+        run_benchmark(("uniform:4",), TARGET, 500, 6, seed=1, threads=threads)
+    *replaced, last = workers
+    replaced = set().union(*replaced)
+    deadline = time.monotonic() + 10.0
+    while replaced & set(threading.enumerate()):
+        assert time.monotonic() < deadline, "a replaced pool's workers still run"
+        time.sleep(0.01)
+    # the last pool stays warm for the next call at its thread count
+    assert len(last) == 3 and last <= set(threading.enumerate())
+
+
 def test_raising_job_surfaces_after_every_job_finished(monkeypatch):
     real = montecarlo.mc_integrate
     finished = []

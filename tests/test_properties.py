@@ -27,7 +27,7 @@ from prva.sensor import (  # noqa: E402
     store_trace,
 )
 from prva.stats import histogram  # noqa: E402
-from prva.transform import TransformCoeffs, VariateCache, apply  # noqa: E402
+from prva.transform import VariateCache, apply, make_coeffs  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # converter and histogram geometries whose width is a normal float
@@ -156,7 +156,7 @@ def test_trace_store_load_round_trip(data, bins, ends, temperature, voltage, rat
 # a 0-d array for a scalar
 moderate = st.floats(min_value=-1e6, max_value=1e6)
 SPEC = GaussianSpec(0.5, 2.0)
-COEFFS = TransformCoeffs(scale=1.5, offset=-3.0)
+RETARGET = GaussianSpec(-3.0, 1.5)
 
 
 @given(x=st.lists(moderate, min_size=2, max_size=50), seed=st.integers(0, 2**64 - 1))
@@ -169,13 +169,29 @@ def test_kernels_leave_their_inputs_unmodified(x, seed):
     adc.value(codes)
     trace = SampleTrace(codes, adc, 10.0, 2.6)
     dequantize_with_jitter(trace, SeededStream(seed))
-    apply(COEFFS, x)
+    apply(RETARGET, x)
     histogram(x, 8, (-1.0, 1.0))
     gaussian_pdf(x, SPEC)
     mc_integrate(x, SPEC)
     assert x.tobytes() == before.tobytes()
     assert codes.tobytes() == codes_before.tobytes()
     np.testing.assert_array_equal(trace.codes, codes_before)
+
+
+@given(
+    mean=st.sampled_from((0.0, -0.0)) | st.floats(min_value=-1e300, max_value=1e300),
+    sigma=st.just(5e-324) | st.floats(min_value=5e-324, max_value=1e300),
+    z=st.lists(moderate, min_size=1, max_size=50),
+)
+def test_retarget_from_standard_is_the_target_bit_for_bit(mean, sigma, z):
+    # sigma / 1.0 and mean - sigma * 0.0 are exact, -0.0 and subnormal
+    # sigmas included, so the target is the map from N(0, 1) as it stands
+    target = GaussianSpec(mean, sigma)
+    coeffs = make_coeffs(GaussianSpec(0.0, 1.0), target)
+    got = np.array([coeffs.mean, coeffs.sigma])
+    assert got.tobytes() == np.array([mean, sigma]).tobytes()
+    z = np.array(z)
+    assert apply(target, z).tobytes() == (target.sigma * z + target.mean).tobytes()
 
 
 @given(v=moderate, wrap=st.sampled_from((float, np.float64, np.array)))

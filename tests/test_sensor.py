@@ -69,6 +69,28 @@ def test_adc_rejects_bin_count_whose_codes_are_not_exact_in_float64(bins):
     assert edge.tolist() == [2**52, 2**53 - 1]
 
 
+@pytest.mark.parametrize(
+    "bins", [4096.0, np.float64(4096), np.int64(4096)], ids=["float", "float64", "int64"]
+)
+def test_adc_integral_count_of_any_type_quantizes_as_an_int(bins):
+    # an integral float count once gave float16 codes, and 0.99999 -> 4096.0
+    x = [0.99999, 0.5, 0.49999]
+    want = AdcModel(4096, 0.0, 1.0).quantize(x)
+    adc = AdcModel(bins, 0.0, 1.0)
+    assert type(adc.bin_count) is int
+    got = adc.quantize(x)
+    assert got.dtype == np.uint16 and want.dtype == np.uint16
+    np.testing.assert_array_equal(got, want)
+    assert got.tolist() == [4095, 2048, 2047]
+
+
+@pytest.mark.parametrize("bins", [math.inf, -math.inf, math.nan])
+def test_adc_rejects_non_finite_bin_count(bins):
+    # the documented ValueError, not int()'s OverflowError on inf
+    with pytest.raises(ValueError, match="bin_count"):
+        AdcModel(bins, 0.0, 1.0)
+
+
 def test_adc_quantize_and_centers():
     adc = AdcModel(4, 0.0, 4.0)
     assert adc.width == 1.0

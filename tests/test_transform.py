@@ -15,12 +15,11 @@ from prva.sensor import (
     default_grid,
     generate_trace,
 )
-from prva.stats import fit_gaussian
+from prva.stats import FitResult, fit_gaussian
 from prva import transform
 from prva.transform import (
     CacheClosed,
     CoeffsMismatchError,
-    TransformCoeffs,
     VariateCache,
     apply,
     compensate,
@@ -32,33 +31,35 @@ from prva.transform import (
 def test_make_coeffs_identity():
     spec = GaussianSpec(3.0, 2.0)
     coeffs = make_coeffs(spec, spec)
-    assert coeffs.scale == 1.0
-    assert coeffs.offset == 0.0
+    assert coeffs.sigma == 1.0
+    assert coeffs.mean == 0.0
 
 
 def test_make_coeffs_standardize_and_back():
     sensor = GaussianSpec(980.794, 7.178)
     unit = GaussianSpec(0.0, 1.0)
     up = make_coeffs(unit, sensor)
-    assert up.scale == 7.178
-    assert up.offset == 980.794
+    assert up == sensor
     down = make_coeffs(sensor, unit)
     # the map must carry the source mean exactly onto the target mean
-    assert down.scale * sensor.mean + down.offset == 0.0
-    assert up.scale * 0.0 + up.offset == sensor.mean
+    assert down.sigma * sensor.mean + down.mean == 0.0
+    assert up.sigma * 0.0 + up.mean == sensor.mean
 
 
 def test_coeffs_validation():
-    with pytest.raises(ValueError):
-        TransformCoeffs(0.0, 1.0)
-    with pytest.raises(ValueError):
-        TransformCoeffs(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        TransformCoeffs(math.inf, 1.0)
+    # a map whose scale or offset leaves the finite positive floats is
+    # refused as the GaussianSpec it would make of N(0, 1)
+    for src, dst in (
+        (GaussianSpec(0.0, 1e-300), GaussianSpec(0.0, 1e300)),  # scale inf
+        (GaussianSpec(0.0, 1e300), GaussianSpec(0.0, 1e-300)),  # scale 0
+        (GaussianSpec(1e300, 1e-10), GaussianSpec(0.0, 1.0)),  # offset -inf
+    ):
+        with pytest.raises(ValueError, match="gaussian"):
+            make_coeffs(src, dst)
 
 
 def test_apply_values_and_op_charges():
-    coeffs = TransformCoeffs(2.0, -1.0)
+    coeffs = GaussianSpec(-1.0, 2.0)
     scalar = apply(coeffs, 3.0)
     assert isinstance(scalar, np.ndarray) and scalar.shape == () and scalar == 5.0
     counter = OpCounter()
@@ -72,7 +73,7 @@ def test_apply_values_and_op_charges():
 
 def test_apply_moment_law():
     x = SeededStream(2).uniforms(50_000)
-    coeffs = TransformCoeffs(3.0, 10.0)
+    coeffs = GaussianSpec(10.0, 3.0)
     y = apply(coeffs, x)
     assert math.isclose(y.mean(), 3.0 * x.mean() + 10.0, rel_tol=1e-12)
     assert math.isclose(y.std(), 3.0 * x.std(), rel_tol=1e-12)
@@ -160,13 +161,7 @@ def test_retarget_distribution_through_cache():
     standardized = compensate(trace, grid, stream=stream)
     target = GaussianSpec(5.0, 2.0)
     cache = VariateCache(4096, target)
-    fill_cache(
-        cache,
-        standardized,
-        make_coeffs(GaussianSpec(0.0, 1.0), target),
-        counter=stream.counter,
-        background=True,
-    )
+    fill_cache(cache, standardized, target, counter=stream.counter, background=True)
     out = cache.get_many(standardized.size)
     fit = fit_gaussian(out)
     assert abs(fit.mean - 5.0) < 5.0 * 2.0 / math.sqrt(1e5)
@@ -311,14 +306,13 @@ def test_cache_bounded_capacity_with_threaded_producer():
 
 def test_fill_cache_background_round_trip():
     spec = GaussianSpec(-2.0, 0.5)
-    coeffs = make_coeffs(GaussianSpec(0.0, 1.0), spec)
     values = SeededStream(5).uniforms(200_000) - 0.5
     cache = VariateCache(1024, spec)
     counter = OpCounter()
-    worker = fill_cache(cache, values, coeffs, counter=counter, background=True)
+    worker = fill_cache(cache, values, spec, counter=counter, background=True)
     out = cache.get_many(values.size)
     worker.join()
-    np.testing.assert_array_equal(out, coeffs.scale * values + coeffs.offset)
+    np.testing.assert_array_equal(out, spec.sigma * values + spec.mean)
     assert counter.multiplications == values.size
     assert counter.additions == values.size
     with pytest.raises(CacheClosed):
@@ -327,10 +321,9 @@ def test_fill_cache_background_round_trip():
 
 def test_fill_cache_inline_needs_enough_capacity():
     spec = GaussianSpec(1.0, 2.0)
-    coeffs = make_coeffs(GaussianSpec(0.0, 1.0), spec)
     values = np.linspace(-3, 3, 500)
     cache = VariateCache(500, spec)
-    assert fill_cache(cache, values, coeffs) is None
+    assert fill_cache(cache, values, spec) is None
     assert cache.occupancy == 500
 
 
@@ -339,7 +332,7 @@ def test_fill_cache_inline_overflow_raises_instead_of_blocking():
 
     def fill(cache, values, raised):
         try:
-            fill_cache(cache, values, make_coeffs(spec, spec))
+            fill_cache(cache, values, spec)
         except ValueError as exc:
             raised.append(exc)
 
@@ -372,9 +365,7 @@ def test_fill_cache_producer_error_reaches_the_reader(monkeypatch):
     monkeypatch.setattr(transform, "apply", apply_failing_on_second_chunk)
     values = np.arange(10.0)
     cache = VariateCache(16, spec)
-    worker = fill_cache(
-        cache, values, make_coeffs(spec, spec), background=True, chunk_size=4
-    )
+    worker = fill_cache(cache, values, spec, background=True, chunk_size=4)
     with pytest.raises(RuntimeError, match="sensor fault"):
         cache.get_many(10)
     worker.join(timeout=5.0)
@@ -383,7 +374,7 @@ def test_fill_cache_producer_error_reaches_the_reader(monkeypatch):
     calls.clear()
     cache = VariateCache(16, spec)
     with pytest.raises(RuntimeError, match="sensor fault"):
-        fill_cache(cache, values, make_coeffs(spec, spec), chunk_size=4)
+        fill_cache(cache, values, spec, chunk_size=4)
     assert cache.closed
     # the first chunk was produced before the failure and is still delivered
     np.testing.assert_array_equal(cache.get_many(4), values[:4])
@@ -397,7 +388,7 @@ def test_fill_cache_rejects_a_generator_when_called():
     cache = VariateCache(16, spec)
     gen = (np.full(4, v) for v in (0.1, 0.2))
     with pytest.raises(TypeError):
-        fill_cache(cache, gen, make_coeffs(spec, spec), background=True)
+        fill_cache(cache, gen, spec, background=True)
     assert cache.occupancy == 0 and not cache.closed
 
 
@@ -410,7 +401,7 @@ def test_fill_cache_rejects_nonpositive_chunk_size(chunk_size):
             fill_cache(
                 cache,
                 np.arange(10.0),
-                make_coeffs(spec, spec),
+                spec,
                 background=background,
                 chunk_size=chunk_size,
             )
@@ -425,14 +416,24 @@ def test_fill_cache_rejects_mislabeled_coeffs():
         fill_cache(cache, np.zeros(4), wrong)
     # the check is exact: one ulp off in either coefficient is refused
     cache = VariateCache(16, GaussianSpec(5.0, 2.0))
-    for scale, offset in (
-        (np.nextafter(2.0, 3.0), 5.0),
-        (2.0, np.nextafter(5.0, 6.0)),
-        (np.nextafter(2.0, 1.0), np.nextafter(5.0, 4.0)),
+    for mean, sigma in (
+        (5.0, np.nextafter(2.0, 3.0)),
+        (np.nextafter(5.0, 6.0), 2.0),
+        (np.nextafter(5.0, 4.0), np.nextafter(2.0, 1.0)),
     ):
         with pytest.raises(CoeffsMismatchError, match="labeled"):
-            fill_cache(cache, np.zeros(4), TransformCoeffs(scale, offset))
+            fill_cache(cache, np.zeros(4), GaussianSpec(mean, sigma))
     assert cache.occupancy == 0 and not cache.closed
+
+
+def test_fill_cache_matches_a_fit_label_by_its_mean_and_sigma():
+    # a FitResult label and a GaussianSpec argument, or the other way round,
+    # are the same Gaussian though the dataclasses differ
+    fit = FitResult(5.0, 2.0, n=100)
+    for label, target in ((fit, GaussianSpec(5.0, 2.0)), (GaussianSpec(5.0, 2.0), fit)):
+        cache = VariateCache(4, label)
+        fill_cache(cache, np.array([0.0, 1.0]), target)
+        np.testing.assert_array_equal(cache.get_many(2), [5.0, 7.0])
 
 
 def test_cache_validation():
