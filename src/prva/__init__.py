@@ -17,7 +17,6 @@ from .samplers import (
     SeededStream,
     derive_seed,
     inversion_sample,
-    merge_counters,
     reference_gaussian_sample,
 )
 from .sensor import (
@@ -95,7 +94,6 @@ __all__ = [
     "load_trace",
     "make_coeffs",
     "mc_integrate",
-    "merge_counters",
     "parse_source",
     "quantization_sweep",
     "reference_gaussian_sample",

@@ -194,9 +194,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_kl(args: argparse.Namespace) -> int:
     if args.trace:
         trace = load_trace(args.trace)
-        # score in sensor units (dequantized bin centers), where one unit
-        # is the native code width; raw ADC codes would be far finer-grained
-        # than that and the histogram would drown in per-bin noise
+        # score the codes' bin centers in sensor units, binned one unit
+        # wide: about 67.5 codes a bin at the default ADC, where a bin per
+        # code would drown the histogram in per-bin noise
         fit, kl = unit_code_kl(trace.adc.value(trace.codes))
         print(f"mode=trace file={args.trace}")
         print(f"n={len(trace)}")

@@ -73,11 +73,6 @@ class OpCounter:
         )
 
 
-def merge_counters(counters) -> OpCounter:
-    """Field-wise sum of an iterable of counters (order-independent)."""
-    return sum(counters, OpCounter())
-
-
 def derive_seed(seed: int, *keys: int) -> int:
     """Derive a child 64-bit seed from a master seed and an index path.
 

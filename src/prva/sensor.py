@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import GaussianSpec
-from .samplers import SeededStream, affine, reference_gaussian_sample
+from .distributions import GaussianSpec, UniformSpec
+from .samplers import SeededStream, affine, inversion_sample, reference_gaussian_sample
 
 DEFAULT_SAMPLE_RATE_HZ = 1154.0
 
@@ -76,13 +76,13 @@ def _locate(axis, x: float):
     Returns (lower, upper, weight). Points that coincide with an axis
     node get weight 0 in the cell to their right — except the topmost
     node, which has no right cell and is reported as (last, last, 0.0).
-    Either way every node evaluation is exact.
+    Either way every node evaluation is exact. ``x`` must lie within the
+    axis, which :meth:`CalibrationGrid.noise_params` checks first.
     """
     last = len(axis) - 1
     if x == axis[-1]:
         return last, last, 0.0
     i = int(np.searchsorted(axis, x, side="right")) - 1
-    i = max(0, min(i, last - 1))
     return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
@@ -266,10 +266,11 @@ def default_grid() -> CalibrationGrid:
     operating point, with slopes chosen so that, along every grid line,
     mean and sigma strictly decrease with temperature, mean strictly
     increases with supply voltage, and sigma strictly decreases with it.
-    Small fixed-seed per-node offsets keep the surface from being exactly
-    planar (so bilinear structure is exercised) while staying well below
-    the node-to-node steps, which preserves the strict trends. The anchor
-    node itself is left offset-free.
+    Small per-node offsets, drawn by :func:`~prva.samplers.inversion_sample`
+    from a fixed-seed :class:`SeededStream`, keep the surface from being
+    exactly planar (so bilinear structure is exercised) while staying well
+    below the node-to-node steps, which preserves the strict trends. The
+    anchor node itself is left offset-free.
     """
     # the node offsets are drawn in this hot-to-cold, high-to-low order
     temps = np.arange(25.0, -5.0 - 2.5, -5.0)  # 25 C down to -5 C
@@ -278,9 +279,10 @@ def default_grid() -> CalibrationGrid:
     vv = volts[None, :]
     means = 980.794 + 0.12 * (20.0 - tt) + 0.8 * (vv - 3.0)
     sigmas = 7.178 + 0.03 * (20.0 - tt) + 0.25 * (3.0 - vv)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1297032)))
-    means = means + rng.uniform(-0.05, 0.05, size=means.shape)
-    sigmas = sigmas + rng.uniform(-0.02, 0.02, size=sigmas.shape)
+    stream = SeededStream(1297032)
+    for cells, half in ((means, 0.05), (sigmas, 0.02)):
+        offsets = inversion_sample(stream, UniformSpec(-half, half), cells.size)
+        cells += offsets.reshape(cells.shape)
     anchor = (int(np.where(temps == 20.0)[0][0]), int(np.where(volts == 3.0)[0][0]))
     means[anchor] = 980.794
     sigmas[anchor] = 7.178

@@ -4,13 +4,14 @@ The quality measure used throughout the package is the KL divergence
 (in nats) between an empirical histogram P and the Gaussian Q it is
 supposed to follow, with Q's mass renormalized over the histogram range
 so truncation does not masquerade as mismatch. A "sensor-native" helper
-bins at unit code width over the observed span, which is the regime a
-raw ADC trace is naturally scored in.
+bins one unit of the data wide over the observed span; ``prva kl
+--trace`` scores a trace's bin centers this way, one sensor unit a bin.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,9 @@ def fit_gaussian(samples) -> FitResult:
     """ML Gaussian fit: sample mean and biased (1/n) standard deviation.
 
     Needs at least two samples; a sample set with zero spread has no
-    Gaussian MLE and raises DegenerateDataError.
+    Gaussian MLE and raises DegenerateDataError. Deviations so small that
+    their squares underflow are summed again scaled by 2**600, which is
+    exact, so a tiny spread is fit instead of refused.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
@@ -160,18 +163,25 @@ def fit_gaussian(samples) -> FitResult:
         mean = float(x.mean())
     if not math.isfinite(mean):
         raise ValueError(f"gaussian fit needs finite samples and mean, got mean {mean}")
+    scratch = np.empty(min(x.size, _BLOCK))
     # finite samples whose deviations overflow when squared give inf,
     # which GaussianSpec rejects
     with np.errstate(over="ignore"):
-        squares = _squared_deviations(x, mean, np.empty(min(x.size, _BLOCK)))
-    sigma = math.sqrt(squares / x.size)
+        squares = _squared_deviations(x, mean, scratch)
+    # a zero or subnormal sum has lost bits to underflow; every deviation is
+    # then below 2**-511, and scaled by 2**600 none underflows or overflows
+    scale = 1.0
+    if squares < sys.float_info.min and x.min() != x.max():
+        scale = 2.0**600
+        squares = _squared_deviations(x, mean, scratch, scale)
+    sigma = math.sqrt(squares / x.size) / scale
     if sigma == 0.0:
         raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
     return FitResult(mean=mean, sigma=sigma, n=int(x.size))
 
 
-def _squared_deviations(x, mean: float, scratch) -> float:
-    """Sum of (x - mean)**2 in the order ``np.add.reduce`` sums it.
+def _squared_deviations(x, mean: float, scratch, scale: float = 1.0) -> float:
+    """Sum of ((x - mean) * scale)**2 in the order ``np.add.reduce`` sums it.
 
     numpy sums a contiguous float64 array pairwise, splitting at n // 2
     rounded down to a multiple of 8. Following that tree down to pieces
@@ -180,12 +190,14 @@ def _squared_deviations(x, mean: float, scratch) -> float:
     """
     if x.size <= scratch.size:
         d = np.subtract(x, mean, out=scratch[: x.size])
+        if scale != 1.0:
+            d *= scale
         np.multiply(d, d, out=d)
         return float(np.add.reduce(d))
     half = x.size // 2
     half -= half % 8
-    return _squared_deviations(x[:half], mean, scratch) + _squared_deviations(
-        x[half:], mean, scratch
+    return _squared_deviations(x[:half], mean, scratch, scale) + _squared_deviations(
+        x[half:], mean, scratch, scale
     )
 
 
@@ -242,11 +254,13 @@ def kl_divergence(hist: Histogram, target: GaussianSpec) -> float:
 
 
 def unit_code_binning(samples) -> Histogram:
-    """Histogram at unit code width spanning the observed sample range.
+    """Histogram of bins one unit wide spanning the observed sample range.
 
     The bin count is the sample span rounded to the nearest integer (at
-    least 2), so for data in raw ADC code units each bin is one code
-    wide. This is the native resolution for scoring a sensor trace.
+    least 2), so each bin is about one unit of the data wide: one code
+    only for data in raw code units. ``prva kl --trace`` passes the codes'
+    bin centers in sensor units, where a bin holds 1/``adc.width`` codes,
+    about 67.5 at the default ADC.
 
     A NaN or infinite sample, or a span past float64's range, has no
     whole number of bins and raises ``ValueError``. So does a span that
@@ -267,7 +281,7 @@ def unit_code_binning(samples) -> Histogram:
 
 
 def unit_code_kl(samples) -> tuple:
-    """Sensor-native score: unit-code histogram, binned fit, KL against it.
+    """Sensor-native score: unit-width histogram, binned fit, KL against it.
 
     Returns (FitResult, kl_nats). The fit is computed from the same
     binned view that P uses, so quantization affects both sides the way

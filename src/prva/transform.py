@@ -69,14 +69,26 @@ def compensate(
     charged to its counter: three ops per code to dequantize and two to
     standardize, in place on the dequantized array. The grid is
     consulted before any jitter is drawn, so an off-grid trace raises
-    GridRangeError with the stream untouched.
+    GridRangeError with the stream untouched. A source Gaussian that
+    float64 cannot standardize, because 1/sigma or mean/sigma overflows,
+    raises ValueError naming it and the operating point.
     """
     if grid is not None:
         src = grid.noise_params(trace.temperature_c, trace.voltage_v)
     values = dequantize_with_jitter(trace, stream)
     if grid is None:
         src = fit_gaussian(values)
-    standardize = make_coeffs(src, GaussianSpec(0.0, 1.0))
+    try:
+        standardize = make_coeffs(src, GaussianSpec(0.0, 1.0))
+    except ValueError:
+        # 1/sigma or mean/sigma overflows: a subnormal sigma, or a mean
+        # too many sigmas from zero
+        where = "trace's own fit" if grid is None else "calibration grid"
+        raise ValueError(
+            f"cannot standardize in float64: the {where} gives mean {src.mean!r} "
+            f"and sigma {src.sigma!r} at temperature_c={trace.temperature_c!r}, "
+            f"voltage_v={trace.voltage_v!r}"
+        ) from None
     return affine(values, standardize.sigma, standardize.mean, stream.counter)
 
 

@@ -265,6 +265,16 @@ def test_transform_self_calibrate_needs_no_grid(capsys, tmp_path):
     assert abs(float(fields["fit_sigma"]) - 2.0) < 1e-9
 
 
+def test_transform_retargets_onto_a_tiny_sigma(capsys):
+    # the retargeted variates' deviations underflow when squared
+    code, out, err = run_cli(
+        capsys, "transform", "--n", "10000", "--target-mean", "0", "--target-sigma", "1e-170"
+    )
+    assert code == 0, err
+    fields = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    assert abs(float(fields["fit_sigma"]) / 1e-170 - 1.0) < 0.05
+
+
 def test_transform_requires_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transform", "--n", "100"])

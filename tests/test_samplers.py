@@ -9,7 +9,6 @@ from prva.samplers import (
     SeededStream,
     derive_seed,
     inversion_sample,
-    merge_counters,
     reference_gaussian_sample,
 )
 
@@ -76,7 +75,7 @@ def test_op_counter_arithmetic():
     assert s.uniform_draws == 5 and s.rejections == 2
     d = s - a
     assert d.as_dict() == b.as_dict()
-    assert merge_counters([a, b]).as_dict() == s.as_dict()
+    assert sum([a, b], OpCounter()).as_dict() == s.as_dict()
     assert a.total_ops == 5  # draws and rejections are not arithmetic
 
 
@@ -107,7 +106,7 @@ def test_op_counter_copy_is_independent_and_dict_keeps_field_order():
         "uniform_draws": 0,
         "rejections": -1,
     }
-    assert merge_counters([]).as_dict() == OpCounter().as_dict()
+    assert sum([], OpCounter()).as_dict() == OpCounter().as_dict()
 
 
 def test_inversion_uniform_forced_midpoint():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -157,6 +158,18 @@ def test_default_grid_shape_and_anchor():
     assert grid.means.shape == (7, 12)
     # the acquisition anchor is exact
     assert grid.noise_params(20.0, 3.0) == GaussianSpec(980.794, 7.178)
+
+
+def test_default_grid_is_pinned_bit_for_bit():
+    # every synthesized trace and every compensation reads this surface,
+    # so a change to how its node offsets are drawn shows here first
+    grid = default_grid()
+    digest = hashlib.sha256()
+    for cells in (grid.temperatures, grid.voltages, grid.means, grid.sigmas):
+        digest.update(np.asarray(cells, dtype=float).tobytes())
+    assert digest.hexdigest() == (
+        "2f288a5f66da2982e97cf43bc59d7b79500c167202f3e280cbcd9bb8271f98d0"
+    )
 
 
 def test_grid_exact_at_every_node():

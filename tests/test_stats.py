@@ -108,6 +108,20 @@ def test_fit_gaussian_errors():
         fit_gaussian([3.0, 3.0, 3.0])
 
 
+def test_fit_gaussian_tiny_spread_is_fit_not_refused():
+    # squared, these deviations underflow to 0; scaled by 2**600 they do not
+    fit = fit_gaussian([1e-300, -1e-300, 3e-300])
+    assert fit.mean == 1e-300
+    assert math.isclose(fit.sigma, math.sqrt(8.0 / 3.0) * 1e-300, rel_tol=1e-15)
+    # the smallest spread there is, one subnormal step
+    assert fit_gaussian([5e-324, 0.0]).sigma == 5e-324
+    # constant samples still have no fit, at any scale, even where their
+    # mean rounds off the constant and leaves a subnormal deviation
+    for constant in ([1e-300] * 3, [3.3e-301] * 3, [7e-161] * 7, [5e-324] * 4, [0.0] * 5):
+        with pytest.raises(DegenerateDataError):
+            fit_gaussian(constant)
+
+
 @pytest.mark.parametrize(
     "samples",
     [

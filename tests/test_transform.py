@@ -111,6 +111,28 @@ def test_compensate_off_grid_raises_before_drawing_jitter():
     assert stream.counter.uniform_draws == 0
 
 
+@pytest.mark.parametrize(
+    "mean, sigma, shown",
+    [
+        (980.0, 1e-310, "mean 980.0 and sigma 1e-310"),
+        (1e300, 1e-10, "mean 1e+300 and sigma 1e-10"),
+    ],
+)
+def test_compensate_names_a_grid_gaussian_float64_cannot_standardize(mean, sigma, shown):
+    # 1/sigma, or mean/sigma, overflows float64
+    grid = default_grid()
+    trace = generate_trace(SeededStream(1), grid, 10.0, 2.6, default_adc(grid), 100)
+    flat = CalibrationGrid(
+        (0.0, 50.0), (1.0, 4.0), np.full((2, 2), mean), np.full((2, 2), sigma)
+    )
+    with pytest.raises(ValueError) as exc:
+        compensate(trace, flat, stream=SeededStream(2))
+    assert str(exc.value) == (
+        f"cannot standardize in float64: the calibration grid gives {shown} "
+        f"at temperature_c=10.0, voltage_v=2.6"
+    )
+
+
 def test_compensate_self_calibration_centers_exactly():
     grid = default_grid()
     adc = default_adc(grid)
