@@ -114,8 +114,8 @@ def affine(x, scale, offset, counter: OpCounter | None = None, out=None):
     """Write scale * x + offset into ``out`` (``x`` itself by default); return it.
 
     Multiply, then add, in place on ``out``, so the bits are the expression's.
-    ``offset`` may be an array. This is prva's one affine step and its one
-    charge: one multiply and one add per value, when given a ``counter``.
+    This is prva's one affine step and its one charge: one multiply and one
+    add per value, when given a ``counter``.
     """
     out = np.multiply(x, scale, out=x if out is None else out)
     out += offset

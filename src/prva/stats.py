@@ -152,7 +152,8 @@ def fit_gaussian(samples) -> FitResult:
     Needs at least two samples; a sample set with zero spread has no
     Gaussian MLE and raises DegenerateDataError. Deviations so small that
     their squares underflow are summed again scaled by 2**600, which is
-    exact, so a tiny spread is fit instead of refused.
+    exact, so a tiny spread is fit instead of refused; a sigma that still
+    underflows to 0 raises ValueError.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
@@ -168,15 +169,16 @@ def fit_gaussian(samples) -> FitResult:
     # which GaussianSpec rejects
     with np.errstate(over="ignore"):
         squares = _squared_deviations(x, mean, scratch)
-    # a zero or subnormal sum has lost bits to underflow; every deviation is
-    # then below 2**-511, and scaled by 2**600 none underflows or overflows
-    scale = 1.0
-    if squares < sys.float_info.min and x.min() != x.max():
-        scale = 2.0**600
-        squares = _squared_deviations(x, mean, scratch, scale)
-    sigma = math.sqrt(squares / x.size) / scale
-    if sigma == 0.0:
-        raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
+    sigma = math.sqrt(squares / x.size)
+    # constant samples leave as spread only a few ulp of their mean, whose
+    # squares may also underflow or overflow; only then do min and max decide
+    underflow = squares < sys.float_info.min
+    if underflow or not abs(mean) * 2.0**-40 < sigma < math.inf:
+        if x.min() == x.max():
+            raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
+        if underflow:
+            # every deviation is below 2**-511; scaled by 2**600 none underflows or overflows
+            sigma = math.sqrt(_squared_deviations(x, mean, scratch, 2.0**600) / x.size) / 2.0**600
     return FitResult(mean=mean, sigma=sigma, n=int(x.size))
 
 

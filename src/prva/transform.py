@@ -104,7 +104,7 @@ class VariateCache:
     when production failed (``close(error)``), the producer's exception.
 
     Values are stored in chunks internally; occupancy and the high-water
-    mark are counted in variates.
+    mark are counted in variates; occupancy is produced minus consumed.
     """
 
     def __init__(self, capacity: int, requested_spec: GaussianSpec):
@@ -117,7 +117,6 @@ class VariateCache:
         self.requested_spec = requested_spec
         self._chunks: deque = deque()
         self._head = 0  # read offset into the first chunk
-        self._count = 0
         self._closed = False
         self._error: BaseException | None = None
         self._cond = threading.Condition()
@@ -127,8 +126,8 @@ class VariateCache:
 
     @property
     def occupancy(self) -> int:
-        """Variates currently buffered."""
-        return self._count
+        """Variates currently buffered: produced minus consumed."""
+        return self.total_produced - self.total_consumed
 
     @property
     def closed(self) -> bool:
@@ -140,15 +139,14 @@ class VariateCache:
         offset = 0
         while offset < arr.size:
             with self._cond:
-                while self._count >= self.capacity and not self._closed:
+                while self.occupancy >= self.capacity and not self._closed:
                     self._cond.wait()
                 if self._closed:
                     raise CacheClosed("cannot put into a closed cache")
-                take = min(arr.size - offset, self.capacity - self._count)
+                take = min(arr.size - offset, self.capacity - self.occupancy)
                 self._chunks.append(arr[offset : offset + take])
-                self._count += take
                 self.total_produced += take
-                self.high_water = max(self.high_water, self._count)
+                self.high_water = max(self.high_water, self.occupancy)
                 self._cond.notify_all()
             offset += take
 
@@ -166,10 +164,10 @@ class VariateCache:
         count = int(count)
         if count < 1:
             raise ValueError("count must be >= 1")
-        # read without the lock: once closed, the count only falls, so it
+        # read without the lock: once closed, occupancy only falls, so it
         # bounds what this read can get. Allocating before the wait, while
         # the producer's chunks are still few, also keeps peak RSS lower.
-        out = np.empty(min(count, self._count) if self._closed else count)
+        out = np.empty(min(count, self.occupancy) if self._closed else count)
         got = 0
         with self._cond:
             while got < count:
@@ -191,7 +189,7 @@ class VariateCache:
         float under the lock instead of building and copying a view.
         """
         with self._cond:
-            if self._count == 0 and not self._wait_for_values():
+            if self.occupancy == 0 and not self._wait_for_values():
                 raise CacheClosed("cache is closed and drained")
             value = float(self._chunks[0][self._head])
             self._consume(1)
@@ -203,7 +201,6 @@ class VariateCache:
         if self._head == self._chunks[0].size:
             self._chunks.popleft()
             self._head = 0
-        self._count -= take
         self.total_consumed += take
         self._cond.notify_all()
 
@@ -212,9 +209,9 @@ class VariateCache:
 
         When production failed, its error is raised instead of returning False.
         """
-        while self._count == 0 and not self._closed:
+        while self.occupancy == 0 and not self._closed:
             self._cond.wait()
-        if self._count == 0:
+        if self.occupancy == 0:
             if self._error is not None:
                 raise self._error
             return False

@@ -38,13 +38,6 @@ SENSOR = GaussianSpec(980.794, 7.178)
 SEED = 0
 
 
-def _strip_timing(report_dict):
-    for s in report_dict["sources"]:
-        s.pop("mean_time_s")
-        s.pop("time_ci90")
-    return report_dict
-
-
 def test_criterion_1_kl_regime_separation(acceptance):
     t0 = time.perf_counter()
     reps, n = 100, 100_000
@@ -340,7 +333,7 @@ def test_criterion_6_drift_and_compensation(acceptance):
     assert acceptance("6", ok, detail), detail
 
 
-def test_criterion_7_determinism(acceptance):
+def test_criterion_7_determinism(acceptance, strip_timing):
     t0 = time.perf_counter()
     checks = {}
     checks["inversion uniform"] = np.array_equal(
@@ -359,7 +352,7 @@ def test_criterion_7_determinism(acceptance):
     )
     sources = ("uniform:5", "gaussian", "prva")
     d1, d2, d4 = (
-        _strip_timing(
+        strip_timing(
             asdict(run_benchmark(sources, SENSOR, 5_000, 4, threads=t, seed=7))
         )
         for t in (1, 1, 4)

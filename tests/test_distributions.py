@@ -10,7 +10,7 @@ import pytest
 
 import prva
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_cdf, gaussian_pdf
-from prva.samplers import OpCounter, inversion_sample
+from prva.samplers import inversion_sample
 
 
 def test_spec_validation():
@@ -91,23 +91,10 @@ def test_gaussian_cdf_values():
     assert math.isclose(tail, 7.61985302416053e-24, rel_tol=1e-10)
 
 
-class ForcedStream:
-    """Stream double that hands out the given uniforms in order."""
-
-    def __init__(self, values):
-        self._values = np.array(values, dtype=float)
-        self.counter = OpCounter()
-
-    def uniforms(self, size):
-        out, self._values = self._values[:size].copy(), self._values[size:]
-        self.counter.uniform_draws += size
-        return out
-
-
-def test_inverse_cdf_uniform():
+def test_inverse_cdf_uniform(scripted_stream):
     # the uniform inverse CDF lo + u * width, at u = 0, 1/4, 1/2 and 1
     spec = UniformSpec(2.0, 6.0)
-    out = inversion_sample(ForcedStream([0.0, 0.25, 0.5, 1.0]), spec, 4)
+    out = inversion_sample(scripted_stream([0.0, 0.25, 0.5, 1.0]), spec, 4)
     np.testing.assert_array_equal(out, [2.0, 3.0, 4.0, 6.0])
 
 

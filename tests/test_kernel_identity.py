@@ -24,7 +24,6 @@ import pytest
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
 from prva.montecarlo import mc_integrate
 from prva.samplers import (
-    OpCounter,
     SeededStream,
     inversion_sample,
     reference_gaussian_sample,
@@ -246,19 +245,6 @@ def inversion_expression(stream, spec, n):
     return out
 
 
-class FixedStream:
-    """Stream double whose one draw is ``values``, charged as a real draw is."""
-
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
-        self.counter = OpCounter()
-
-    def uniforms(self, size):
-        assert size == self.values.size
-        self.counter.uniform_draws += size
-        return self.values.copy()
-
-
 def apply_expression(spec, x):
     return spec.sigma * np.asarray(x, dtype=float) + spec.mean
 
@@ -352,11 +338,11 @@ def test_inverse_cdf_matches_expression_form(seed, size):
         assert_same_streams(got_stream, want_stream)
 
 
-def test_inverse_cdf_matches_expression_form_at_the_edges():
+def test_inverse_cdf_matches_expression_form_at_the_edges(scripted_stream):
     edges = [0.0, -0.0, 5e-324, 0.5, 1.0 - 2**-53]
     for values in (edges, []):
         for spec in UNIFORMS:
-            got_stream, want_stream = FixedStream(values), FixedStream(values)
+            got_stream, want_stream = scripted_stream(values), scripted_stream(values)
             got = inversion_sample(got_stream, spec, len(values))
             want = inversion_expression(want_stream, spec, len(values))
             assert_identical(got, want)

@@ -129,25 +129,18 @@ def test_parse_source_rejections():
         parse_source("triangular")
 
 
-def _strip_timing(report_dict):
-    for s in report_dict["sources"]:
-        s.pop("mean_time_s")
-        s.pop("time_ci90")
-    return report_dict
-
-
-def test_benchmark_same_seed_same_numbers():
+def test_benchmark_same_seed_same_numbers(strip_timing):
     sources = ("uniform:5", "gaussian", "prva")
     a = run_benchmark(sources, TARGET, 2_000, 3, seed=7)
     b = run_benchmark(sources, TARGET, 2_000, 3, seed=7)
-    assert _strip_timing(asdict(a)) == _strip_timing(asdict(b))
+    assert strip_timing(asdict(a)) == strip_timing(asdict(b))
 
 
-def test_benchmark_thread_count_does_not_change_results():
+def test_benchmark_thread_count_does_not_change_results(strip_timing):
     sources = ("uniform:5", "gaussian", "prva")
     one = run_benchmark(sources, TARGET, 2_000, 4, seed=3, threads=1)
     four = run_benchmark(sources, TARGET, 2_000, 4, seed=3, threads=4)
-    d1, d4 = _strip_timing(asdict(one)), _strip_timing(asdict(four))
+    d1, d4 = strip_timing(asdict(one)), strip_timing(asdict(four))
     d1.pop("threads")
     d4.pop("threads")
     assert d1 == d4

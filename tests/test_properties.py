@@ -74,10 +74,11 @@ def test_histogram_saturates_any_float(x, bins, lo, span):
     np.testing.assert_array_equal(counts, histogram(edged, bins, (lo, hi)).counts)
 
 
-# one step: ("put", k) appends k fresh values, ("get", k) reads k; each is
-# clipped to what fits or what is buffered, so no step blocks
+# one step: ("put", k) appends k fresh values, ("get", k) reads k with one
+# get_many, ("pop", k) reads k with get(); each is clipped to what fits or
+# what is buffered, so no step blocks
 steps = st.lists(
-    st.tuples(st.sampled_from(("put", "get")), st.integers(1, 12)), max_size=60
+    st.tuples(st.sampled_from(("put", "get", "pop")), st.integers(1, 12)), max_size=60
 )
 
 
@@ -100,8 +101,12 @@ def test_cache_fifo_order_without_loss(capacity, script):
             if k == 0:
                 continue
             expect = [model.popleft() for _ in range(k)]
-            assert cache.get_many(k).tolist() == expect
+            if op == "get":
+                assert cache.get_many(k).tolist() == expect
+            else:
+                assert [cache.get() for _ in range(k)] == expect
         assert cache.occupancy == len(model)
+        assert cache.high_water <= capacity
     cache.close()
     if model:
         # a closed cache returns what is left to a longer read

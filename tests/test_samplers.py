@@ -13,19 +13,6 @@ from prva.samplers import (
 )
 
 
-class ScriptedStream:
-    """Stream double that hands out a fixed list of uniforms."""
-
-    def __init__(self, values):
-        self._values = list(values)
-        self.counter = OpCounter()
-
-    def uniforms(self, size):
-        out = np.array([self._values.pop(0) for _ in range(size)])
-        self.counter.uniform_draws += size
-        return out
-
-
 def test_seeded_stream_determinism_and_draw_count():
     a = SeededStream(42)
     b = SeededStream(42)
@@ -109,22 +96,22 @@ def test_op_counter_copy_is_independent_and_dict_keeps_field_order():
     assert sum([], OpCounter()).as_dict() == OpCounter().as_dict()
 
 
-def test_inversion_uniform_forced_midpoint():
-    stream = ScriptedStream([0.5])
+def test_inversion_uniform_forced_midpoint(scripted_stream):
+    stream = scripted_stream([0.5])
     assert inversion_sample(stream, UniformSpec(2.0, 6.0), 1).tolist() == [4.0]
     assert stream.counter.uniform_draws == 1
 
 
-def test_inversion_is_right_inverse():
+def test_inversion_is_right_inverse(scripted_stream):
     spec = UniformSpec(-1.5, 4.0)
     p = np.linspace(0.01, 0.99, 99)
-    x = inversion_sample(ScriptedStream(p), spec, p.size)
+    x = inversion_sample(scripted_stream(p), spec, p.size)
     # the closed-form CDF (x - lo) / width
     np.testing.assert_allclose((x - spec.lo) / spec.width, p, atol=1e-12)
 
 
-def test_inversion_op_charges():
-    stream = ScriptedStream(list(np.linspace(0.01, 0.99, 50)))
+def test_inversion_op_charges(scripted_stream):
+    stream = scripted_stream(np.linspace(0.01, 0.99, 50))
     inversion_sample(stream, UniformSpec(0.0, 1.0), 50)
     assert stream.counter.multiplications == 50
     assert stream.counter.additions == 50

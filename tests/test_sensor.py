@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prva.distributions import GaussianSpec
-from prva.samplers import OpCounter, SeededStream
+from prva.samplers import SeededStream
 from prva.sensor import (
     AdcModel,
     CalibrationFormatError,
@@ -27,18 +27,6 @@ from prva.sensor import (
     store_trace,
 )
 from prva.stats import fit_gaussian, histogram, kl_divergence
-
-
-class FixedStream:
-    """Stream double whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-        self.counter = OpCounter()
-
-    def uniforms(self, size):
-        self.counter.uniform_draws += size
-        return np.full(size, self.u)
 
 
 # --- ADC ---------------------------------------------------------------
@@ -337,21 +325,21 @@ def test_sample_trace_rejects_line_break_in_source(brk):
 # --- dequantization ------------------------------------------------------
 
 
-def test_dequantize_zero_jitter_hits_centers():
+def test_dequantize_zero_jitter_hits_centers(scripted_stream):
     adc = AdcModel(8, 0.0, 8.0)
     trace = SampleTrace(np.arange(8), adc, 10.0, 2.6)
-    out = dequantize_with_jitter(trace, FixedStream(0.5))  # u = 0.5: bin centers
+    out = dequantize_with_jitter(trace, scripted_stream(np.full(8, 0.5)))  # u = 0.5: bin centers
     np.testing.assert_allclose(out, adc.value(trace.codes), atol=1e-15)
 
 
-def test_dequantize_reaches_the_closed_bins_upper_edge():
+def test_dequantize_reaches_the_closed_bins_upper_edge(scripted_stream):
     # 1 - 2**-53, the largest U[0, 1) draw, puts every code exactly on the
     # upper edge of its closed bin, and 2,126 of those values quantize to
     # the next code
     adc = default_adc(default_grid())
     codes = np.arange(adc.bin_count)
     trace = SampleTrace(codes, adc, 10.0, 2.6)
-    out = dequantize_with_jitter(trace, FixedStream(1.0 - 2.0**-53))
+    out = dequantize_with_jitter(trace, scripted_stream(np.full(codes.size, 1.0 - 2.0**-53)))
     assert np.all(out >= codes * adc.width + adc.range_lo)
     np.testing.assert_array_equal(out, (codes + 1.0) * adc.width + adc.range_lo)
     assert np.count_nonzero(adc.quantize(out) == codes + 1) == 2_126

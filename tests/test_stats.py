@@ -116,8 +116,12 @@ def test_fit_gaussian_tiny_spread_is_fit_not_refused():
     # the smallest spread there is, one subnormal step
     assert fit_gaussian([5e-324, 0.0]).sigma == 5e-324
     # constant samples still have no fit, at any scale, even where their
-    # mean rounds off the constant and leaves a subnormal deviation
-    for constant in ([1e-300] * 3, [3.3e-301] * 3, [7e-161] * 7, [5e-324] * 4, [0.0] * 5):
+    # mean rounds off the constant and leaves a deviation of a few ulp, or
+    # one whose square overflows
+    for constant in (
+        [1e-300] * 3, [3.3e-301] * 3, [7e-161] * 7, [5e-324] * 4, [0.0] * 5,
+        [0.1] * 3, [0.1] * 1000, [1.0856491671436244e200] * 3,
+    ):
         with pytest.raises(DegenerateDataError):
             fit_gaussian(constant)
 
