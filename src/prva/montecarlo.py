@@ -48,10 +48,6 @@ from .stats import confidence_interval_90
 from .transform import VariateCache, compensate, fill_cache
 
 
-class UnknownSourceError(ValueError):
-    """Raised for a source string naming no known generator."""
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     """One integration run: trapezoid area and its error, |1 - area|."""
@@ -122,36 +118,39 @@ class SourceConfig:
 
 
 def parse_source(text: str) -> SourceConfig:
-    """Parse ``uniform:<k>`` / ``gaussian`` / ``prva`` / ``prva:<path>``."""
+    """Parse ``uniform:<k>`` / ``gaussian`` / ``prva`` / ``prva:<path>``.
+
+    Any other string raises ValueError: an unknown kind ("unknown source"),
+    or a known one with a missing, malformed or unwanted argument, whose
+    message starts "source '<text>':" and names the fault.
+    """
     label = text.strip()
     kind, sep, arg = label.partition(":")
     if kind == "uniform":
         if not sep or not arg:
-            raise UnknownSourceError(
+            raise ValueError(
                 f"source {label!r}: uniform needs a half-width multiple, e.g. uniform:10"
             )
         try:
             k = float(arg)
         except ValueError:
-            raise UnknownSourceError(
+            raise ValueError(
                 f"source {label!r}: half-width multiple {arg!r} is not a number"
             ) from None
         if not (math.isfinite(k) and k > 0):
-            raise UnknownSourceError(
-                f"source {label!r}: half-width multiple must be positive"
-            )
+            raise ValueError(f"source {label!r}: half-width multiple must be positive")
         return SourceConfig(label=label, kind="uniform", half_width_sigmas=k)
     if kind == "gaussian":
         if sep:
-            raise UnknownSourceError(f"source {label!r}: gaussian takes no argument")
+            raise ValueError(f"source {label!r}: gaussian takes no argument")
         return SourceConfig(label=label, kind="gaussian")
     if kind == "prva":
         if sep and not arg:
-            raise UnknownSourceError(
+            raise ValueError(
                 f"source {label!r}: replay needs a trace path, e.g. prva:trace.txt"
             )
         return SourceConfig(label=label, kind="prva", trace_path=arg if sep else None)
-    raise UnknownSourceError(f"unknown source {label!r}")
+    raise ValueError(f"unknown source {label!r}")
 
 
 @dataclass(frozen=True)

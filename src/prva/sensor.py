@@ -55,8 +55,9 @@ _TRACE_FIELDS = (
 
 _CALIBRATION_HEADER = ("temperature_c", "voltage_v", "mean", "sigma")
 
-# every character str.splitlines breaks a line at; a header value holding
-# one would split its line in the trace file
+# every character str.splitlines breaks a line at. load_trace ends lines
+# only at \n and \r, but a header value holding any of these would split its
+# line for a reader of the file that uses str.splitlines
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
@@ -88,22 +89,6 @@ def _locate(axis, x: float):
 
 class GridRangeError(ValueError):
     """Raised when an operating point falls outside the calibration grid."""
-
-
-class CalibrationFormatError(ValueError):
-    """Raised for malformed or incomplete calibration CSV data."""
-
-
-class TraceHeaderError(ValueError):
-    """Raised for missing, repeated, unknown, or unparseable header fields."""
-
-
-class TraceCodeError(ValueError):
-    """Raised when a trace body contains a code outside [0, bins)."""
-
-
-class TraceBodyError(ValueError):
-    """Raised when a trace body is empty or contains an unparseable line."""
 
 
 @dataclass(frozen=True)
@@ -414,79 +399,71 @@ def store_trace(trace: SampleTrace, path) -> None:
 
 
 def load_trace(path) -> SampleTrace:
-    """Parse a trace file, distinguishing header, code-range, and body faults.
+    """Parse a trace file, reading it one line at a time.
 
-    Header problems (missing/unknown/duplicate fields, unparseable values,
-    inconsistent ADC geometry, a sample rate not positive and finite)
-    raise TraceHeaderError; codes outside [0, bins) raise TraceCodeError;
-    an empty body or a line that is not a decimal integer raises
-    TraceBodyError.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and one trailing blank line
+    is allowed. Every fault raises ValueError, whose message marks it: a
+    header line that "is not key=value", an "unknown", "duplicate" or
+    "missing header field", an "unparseable header value", an ADC geometry
+    or sample rate that :class:`AdcModel` or :class:`SampleTrace` rejects,
+    a code "outside [0, bins)", an "unparseable sample line", or a body
+    that "contains no samples". Code faults name their file line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    header: dict[str, str] = {}
-    body_start = None
-    for i, line in enumerate(lines):
-        if line.strip() == "":
-            body_start = i + 1
-            break
-        if "=" not in line:
-            raise TraceHeaderError(f"header line {i + 1} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _TRACE_FIELDS:
-            raise TraceHeaderError(f"unknown header field {key!r}")
-        if key in header:
-            raise TraceHeaderError(f"duplicate header field {key!r}")
-        header[key] = value
-    missing = [k for k in _TRACE_FIELDS if k not in header]
-    if missing:
-        raise TraceHeaderError(f"missing header field(s): {', '.join(missing)}")
-    try:
-        bins = int(header["bins"])
-        range_lo = float(header["range_lo"])
-        range_hi = float(header["range_hi"])
-        temperature = float(header["temperature_c"])
-        voltage = float(header["voltage_v"])
-        rate = float(header["sample_rate_hz"])
-    except ValueError as exc:
-        raise TraceHeaderError(f"unparseable header value: {exc}") from exc
-    try:
-        adc = AdcModel(bins, range_lo, range_hi)
-    except ValueError as exc:
-        raise TraceHeaderError(str(exc)) from exc
-
-    body = [] if body_start is None else lines[body_start:]
-    codes = []
-    for j, line in enumerate(body):
-        stripped = line.strip()
-        if stripped == "" and j == len(body) - 1:
-            continue  # trailing newline artifact, not a sample
+        lines = enumerate(fh, 1)
+        header: dict[str, str] = {}
+        for number, line in lines:
+            line = line.rstrip("\n")
+            if line.strip() == "":
+                break
+            if "=" not in line:
+                raise ValueError(f"header line {number} is not key=value: {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _TRACE_FIELDS:
+                raise ValueError(f"unknown header field {key!r}")
+            if key in header:
+                raise ValueError(f"duplicate header field {key!r}")
+            header[key] = value
+        missing = [k for k in _TRACE_FIELDS if k not in header]
+        if missing:
+            raise ValueError(f"missing header field(s): {', '.join(missing)}")
         try:
-            code = int(stripped)
+            bins = int(header["bins"])
+            range_lo = float(header["range_lo"])
+            range_hi = float(header["range_hi"])
+            temperature = float(header["temperature_c"])
+            voltage = float(header["voltage_v"])
+            rate = float(header["sample_rate_hz"])
         except ValueError as exc:
-            raise TraceBodyError(
-                f"unparseable sample line {body_start + j + 1}: {line!r}"
-            ) from exc
+            raise ValueError(f"unparseable header value: {exc}") from exc
+        adc = AdcModel(bins, range_lo, range_hi)
+        codes = np.fromiter(_body_codes(lines, bins), dtype=adc.code_dtype)
+    if codes.size == 0:
+        raise ValueError("trace body contains no samples")
+    return SampleTrace(
+        codes=codes,
+        adc=adc,
+        temperature_c=temperature,
+        voltage_v=voltage,
+        sample_rate_hz=rate,
+        source=header["source"],
+    )
+
+
+def _body_codes(lines, bins: int):
+    """Yield the code on each (number, line) pair; a blank last line ends the body."""
+    for number, line in lines:
+        try:
+            code = int(line)
+        except ValueError as exc:
+            if line.strip() or next(lines, None) is not None:
+                text = line.rstrip("\n")
+                raise ValueError(f"unparseable sample line {number}: {text!r}") from exc
+            return
         if not 0 <= code < bins:
-            raise TraceCodeError(
-                f"code {code} at line {body_start + j + 1} outside [0, {bins})"
-            )
-        codes.append(code)
-    if not codes:
-        raise TraceBodyError("trace body contains no samples")
-    try:
-        return SampleTrace(
-            codes=np.array(codes, dtype=adc.code_dtype),
-            adc=adc,
-            temperature_c=temperature,
-            voltage_v=voltage,
-            sample_rate_hz=rate,
-            source=header["source"],
-        )
-    except ValueError as exc:  # the codes passed the checks above
-        raise TraceHeaderError(str(exc)) from exc
+            raise ValueError(f"code {code} at line {number} outside [0, {bins})")
+        yield code
 
 
 def store_calibration(grid: CalibrationGrid, path) -> None:
@@ -507,33 +484,35 @@ def store_calibration(grid: CalibrationGrid, path) -> None:
 
 
 def load_calibration(path) -> CalibrationGrid:
-    """Parse a calibration CSV into a grid.
+    """Parse a calibration CSV into a grid; every fault raises ValueError.
 
-    The header must be exactly ``temperature_c,voltage_v,mean,sigma``,
-    every row must parse as four floats, no cell may repeat, and the
-    cells must tile the full temperature x voltage rectangle; any
-    violation raises CalibrationFormatError.
+    Blank lines are skipped, and a row fault names the row's file line.
+    The message marks the fault: a first row that is not the "calibration
+    header" ``temperature_c,voltage_v,mean,sigma``, a row that "must have 4
+    fields" or "is not numeric", a "duplicate cell", a table that "has no
+    rows", an "incomplete grid" that does not tile the full temperature x
+    voltage rectangle, or a grid that :class:`CalibrationGrid` rejects.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore blank lines
-    if not rows or tuple(s.strip() for s in rows[0]) != _CALIBRATION_HEADER:
-        raise CalibrationFormatError(
-            f"calibration header must be {','.join(_CALIBRATION_HEADER)!r}"
-        )
     cells: dict[tuple, tuple] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise CalibrationFormatError(f"row {i} must have 4 fields, got {len(row)}")
-        try:
-            t, v, m, s = (float(x) for x in row)
-        except ValueError as exc:
-            raise CalibrationFormatError(f"row {i} is not numeric: {row!r}") from exc
-        if (t, v) in cells:
-            raise CalibrationFormatError(f"duplicate cell ({t}, {v}) at row {i}")
-        cells[(t, v)] = (m, s)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row)  # ignore blank lines
+        header = next(rows, None)
+        if header is None or tuple(s.strip() for s in header) != _CALIBRATION_HEADER:
+            raise ValueError(f"calibration header must be {','.join(_CALIBRATION_HEADER)!r}")
+        for row in rows:
+            i = reader.line_num
+            if len(row) != 4:
+                raise ValueError(f"row {i} must have 4 fields, got {len(row)}")
+            try:
+                t, v, m, s = (float(x) for x in row)
+            except ValueError as exc:
+                raise ValueError(f"row {i} is not numeric: {row!r}") from exc
+            if (t, v) in cells:
+                raise ValueError(f"duplicate cell ({t}, {v}) at row {i}")
+            cells[(t, v)] = (m, s)
     if not cells:
-        raise CalibrationFormatError("calibration table has no rows")
+        raise ValueError("calibration table has no rows")
     temps = sorted({t for t, _ in cells})
     volts = sorted({v for _, v in cells})
     means = np.empty((len(temps), len(volts)))
@@ -541,9 +520,6 @@ def load_calibration(path) -> CalibrationGrid:
     for ti, t in enumerate(temps):
         for vi, v in enumerate(volts):
             if (t, v) not in cells:
-                raise CalibrationFormatError(f"incomplete grid: missing cell ({t}, {v})")
+                raise ValueError(f"incomplete grid: missing cell ({t}, {v})")
             means[ti, vi], sigmas[ti, vi] = cells[(t, v)]
-    try:
-        return CalibrationGrid(tuple(temps), tuple(volts), means, sigmas)
-    except ValueError as exc:
-        raise CalibrationFormatError(str(exc)) from exc
+    return CalibrationGrid(tuple(temps), tuple(volts), means, sigmas)

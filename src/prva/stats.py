@@ -25,18 +25,6 @@ from .samplers import SeededStream, derive_seed, reference_gaussian_sample
 _BLOCK = 2**16
 
 
-class EmptyDataError(ValueError):
-    """Raised when an operation needs at least one sample and got none."""
-
-
-class DegenerateDataError(ValueError):
-    """Raised when samples carry no spread, so no Gaussian fit exists."""
-
-
-class AbsoluteContinuityError(ValueError):
-    """Raised when P puts mass where Q has none, making KL undefined."""
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Counts over equal-width bins given by ``edges`` (len(counts) + 1)."""
@@ -108,7 +96,7 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
-        raise EmptyDataError("cannot histogram zero samples")
+        raise ValueError("cannot histogram zero samples")
     # a NaN propagates through min
     if math.isnan(x.min()):
         raise ValueError("samples contain NaN")
@@ -149,11 +137,13 @@ def histogram(samples, bins: int, hist_range) -> Histogram:
 def fit_gaussian(samples) -> FitResult:
     """ML Gaussian fit: sample mean and biased (1/n) standard deviation.
 
-    Needs at least two samples; a sample set with zero spread has no
-    Gaussian MLE and raises DegenerateDataError. Deviations so small that
-    their squares underflow are summed again scaled by 2**600, which is
-    exact, so a tiny spread is fit instead of refused; a sigma that still
-    underflows to 0 raises ValueError.
+    Every fault raises ValueError, whose message marks it: fewer than two
+    samples ("needs at least 2 samples"), a NaN or infinite sample or mean
+    ("needs finite samples"), or constant samples, which have no Gaussian
+    MLE ("zero spread"). Deviations so small that their squares underflow
+    are summed again scaled by 2**600, which is exact, so a tiny spread is
+    fit instead of refused; a sigma that still underflows to 0 is rejected
+    by :class:`GaussianSpec`.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
@@ -175,7 +165,7 @@ def fit_gaussian(samples) -> FitResult:
     underflow = squares < sys.float_info.min
     if underflow or not abs(mean) * 2.0**-40 < sigma < math.inf:
         if x.min() == x.max():
-            raise DegenerateDataError("samples have zero spread; no gaussian fit exists")
+            raise ValueError("samples have zero spread; no gaussian fit exists")
         if underflow:
             # every deviation is below 2**-511; scaled by 2**600 none underflows or overflows
             sigma = math.sqrt(_squared_deviations(x, mean, scratch, 2.0**600) / x.size) / 2.0**600
@@ -217,7 +207,7 @@ def fit_gaussian_binned(hist: Histogram) -> FitResult:
     mean = float(np.sum(w * centers))
     var = float(np.sum(w * (centers - mean) ** 2))
     if var <= 0.0:
-        raise DegenerateDataError("binned samples have zero spread")
+        raise ValueError("binned samples have zero spread")
     return FitResult(mean=mean, sigma=math.sqrt(var), n=total)
 
 
@@ -228,29 +218,27 @@ def kl_divergence(hist: Histogram, target: GaussianSpec) -> float:
     difference over the same edges, renormalized to sum to one over the
     histogram range, so a histogram of a correctly truncated Gaussian
     scores near zero instead of paying for the missing tails. Bins where
-    P is zero contribute nothing; a bin where P > 0 but Q underflows to
-    zero raises AbsoluteContinuityError. ``target`` may be a FitResult,
-    which is a GaussianSpec.
+    P is zero contribute nothing. ``target`` may be a FitResult, which is
+    a GaussianSpec. An empty histogram raises ValueError ("histogram is
+    empty"), and so does a Q with no mass on the range ("no mass on the
+    histogram range") or none in a bin where P > 0 ("zero mass in an
+    occupied bin"), where KL is undefined.
 
     The result is clipped at zero: by Gibbs' inequality the exact value
     cannot be negative, so any tiny negative is rounding residue.
     """
     total = hist.total
     if total == 0:
-        raise EmptyDataError("histogram is empty")
+        raise ValueError("histogram is empty")
     q = np.diff(gaussian_cdf(hist.edges, target))
     z = q.sum()
     if not z > 0.0:
-        raise AbsoluteContinuityError(
-            "reference Gaussian has no mass on the histogram range"
-        )
+        raise ValueError("reference Gaussian has no mass on the histogram range")
     q = q / z
     p = hist.counts / total
     mask = p > 0
     if np.any(q[mask] <= 0.0):
-        raise AbsoluteContinuityError(
-            "reference Gaussian has zero mass in an occupied bin"
-        )
+        raise ValueError("reference Gaussian has zero mass in an occupied bin")
     val = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return val if val > 0.0 else 0.0
 
@@ -270,7 +258,7 @@ def unit_code_binning(samples) -> Histogram:
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
-        raise EmptyDataError("cannot histogram zero samples")
+        raise ValueError("cannot histogram zero samples")
     lo, hi = float(x.min()), float(x.max())
     if not math.isfinite(hi - lo):
         raise ValueError(
@@ -278,7 +266,7 @@ def unit_code_binning(samples) -> Histogram:
             f"got min {lo!r} and max {hi!r}"
         )
     if hi == lo:
-        raise DegenerateDataError("samples have zero span")
+        raise ValueError("samples have zero span")
     return histogram(x, max(2, int(round(hi - lo))), (lo, hi))
 
 

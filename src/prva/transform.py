@@ -28,10 +28,6 @@ class CacheClosed(Exception):
     """Read from a cache that is closed and fully drained."""
 
 
-class CoeffsMismatchError(ValueError):
-    """Coefficients deliver a different Gaussian than the cache is labeled with."""
-
-
 def make_coeffs(src: GaussianSpec, dst: GaussianSpec) -> GaussianSpec:
     """The Gaussian that the map carrying ``src`` onto ``dst`` makes of N(0, 1).
 
@@ -245,9 +241,10 @@ def fill_cache(
     flat float array (in place, so it must not change while a background
     fill runs) ``chunk_size`` values at a time; each chunk goes through
     :func:`apply` and the cache keeps a copy of the result. Before anything
-    is produced, ``chunk_size`` below 1 raises ValueError, and a ``coeffs``
-    whose mean and sigma are not exactly those of ``cache.requested_spec``
-    raises CoeffsMismatchError.
+    is produced, ValueError is raised for a ``chunk_size`` below 1 ("chunk_size
+    must be >= 1") and for a ``coeffs`` whose mean and sigma are not exactly
+    those of ``cache.requested_spec`` ("coefficients deliver ... into a cache
+    labeled ...").
     With ``background=True`` production runs on a daemon thread and the
     started thread is returned, which is the producer/consumer arrangement
     the cache exists for; an exception in production is kept on the cache
@@ -261,7 +258,7 @@ def fill_cache(
     spec = cache.requested_spec
     # the pairs, not the dataclasses: a FitResult label equals its GaussianSpec
     if (coeffs.mean, coeffs.sigma) != (spec.mean, spec.sigma):
-        raise CoeffsMismatchError(
+        raise ValueError(
             f"coefficients deliver N({coeffs.mean}, {coeffs.sigma}) into a "
             f"cache labeled N({spec.mean}, {spec.sigma})"
         )

@@ -12,12 +12,7 @@ import pytest
 
 from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
-from prva.montecarlo import (
-    UnknownSourceError,
-    mc_integrate,
-    parse_source,
-    run_benchmark,
-)
+from prva.montecarlo import mc_integrate, parse_source, run_benchmark
 from prva.samplers import SeededStream, inversion_sample
 from prva.sensor import default_adc, default_grid, generate_trace, store_trace
 
@@ -122,10 +117,17 @@ def test_parse_source_variants():
 
 
 def test_parse_source_rejections():
-    for bad in ("uniform", "uniform:", "uniform:abc", "uniform:-3", "gaussian:2", "prva:"):
-        with pytest.raises(UnknownSourceError):
+    for bad, fault in (
+        ("uniform", "uniform needs a half-width multiple"),
+        ("uniform:", "uniform needs a half-width multiple"),
+        ("uniform:abc", "half-width multiple 'abc' is not a number"),
+        ("uniform:-3", "half-width multiple must be positive"),
+        ("gaussian:2", "gaussian takes no argument"),
+        ("prva:", "replay needs a trace path"),
+    ):
+        with pytest.raises(ValueError, match=f"^source '{bad}': {fault}"):
             parse_source(bad)
-    with pytest.raises(UnknownSourceError, match="triangular"):
+    with pytest.raises(ValueError, match="^unknown source 'triangular'$"):
         parse_source("triangular")
 
 
@@ -347,7 +349,7 @@ def test_benchmark_argument_validation():
         run_benchmark(("gaussian",), TARGET, 100, 1, threads=0)
     with pytest.raises(ValueError):
         run_benchmark((), TARGET, 100, 1)
-    with pytest.raises(UnknownSourceError):
+    with pytest.raises(ValueError, match="^unknown source 'sobol'$"):
         run_benchmark(("sobol",), TARGET, 100, 1)
 
 

@@ -8,9 +8,6 @@ from prva.distributions import GaussianSpec, UniformSpec
 from prva import stats
 from prva.samplers import SeededStream, inversion_sample, reference_gaussian_sample
 from prva.stats import (
-    AbsoluteContinuityError,
-    DegenerateDataError,
-    EmptyDataError,
     FitResult,
     confidence_interval_90,
     fit_gaussian,
@@ -61,7 +58,7 @@ def test_histogram_identical_samples_at_lo():
 
 
 def test_histogram_errors():
-    with pytest.raises(EmptyDataError):
+    with pytest.raises(ValueError, match="cannot histogram zero samples"):
         histogram([], 4, (0.0, 1.0))
     with pytest.raises(ValueError):
         histogram([1.0], 0, (0.0, 1.0))
@@ -104,7 +101,7 @@ def test_fit_gaussian_known_values():
 def test_fit_gaussian_errors():
     with pytest.raises(ValueError):
         fit_gaussian([1.0])
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(ValueError, match="samples have zero spread"):
         fit_gaussian([3.0, 3.0, 3.0])
 
 
@@ -122,7 +119,7 @@ def test_fit_gaussian_tiny_spread_is_fit_not_refused():
         [1e-300] * 3, [3.3e-301] * 3, [7e-161] * 7, [5e-324] * 4, [0.0] * 5,
         [0.1] * 3, [0.1] * 1000, [1.0856491671436244e200] * 3,
     ):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(ValueError, match="samples have zero spread"):
             fit_gaussian(constant)
 
 
@@ -206,10 +203,10 @@ def test_kl_scale_invariance():
 def test_kl_absolute_continuity_error():
     h = histogram([0.05, 0.95], 100, (0.0, 1.0))
     # reference so tight that far bins carry exactly zero mass
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(ValueError, match="zero mass in an occupied bin"):
         kl_divergence(h, FitResult(mean=0.5, sigma=0.001, n=2))
     # reference centered absurdly far away has no mass on the range at all
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(ValueError, match="no mass on the histogram range"):
         kl_divergence(h, FitResult(mean=1e6, sigma=0.5, n=2))
 
 
@@ -220,7 +217,7 @@ def test_unit_code_binning_span_rule():
     # tiny spans still get the two-bin floor
     h2 = unit_code_binning(np.array([0.0, 1.2]))
     assert h2.bins == 2
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(ValueError, match="samples have zero span"):
         unit_code_binning(np.array([3.0, 3.0]))
     # one bin per unit is allowed up to max(samples, 2**16) bins; past
     # that the span is refused before any count is allocated
