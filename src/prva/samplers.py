@@ -20,7 +20,10 @@ may share one across stages.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +87,48 @@ def derive_seed(seed: int, *keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# values below which a kernel runs all its work on the calling thread
+SPLIT_SIZE = 2**18
+
+
+@lru_cache(maxsize=1)
+def _helper() -> ThreadPoolExecutor:
+    """The one helper thread that runs the second half of every split.
+
+    Started by the first split, not at import. Work it runs never splits
+    again: with one worker, a split from the helper would wait on itself.
+    """
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="prva-split")
+
+
+# a forked child inherits the helper but not its thread: work submitted
+# there would queue forever, so the child starts a helper of its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def split(n: int, work, grain: int = 1) -> int:
+    """Run ``work(0, cut)`` on the caller and ``work(cut, n)`` on the helper; return ``cut``.
+
+    ``cut`` is half of ``n`` rounded down to a multiple of ``grain``. Below
+    :data:`SPLIT_SIZE` the caller runs ``work(0, n)`` alone and ``n`` is
+    returned. The halves must write disjoint outputs. The caller waits for
+    the helper's half even when its own half raises, so nothing writes to
+    the outputs after this returns or raises.
+    """
+    if n < SPLIT_SIZE:
+        work(0, n)
+        return n
+    cut = n // 2 // grain * grain
+    second = _helper().submit(work, cut, n)
+    try:
+        work(0, cut)
+    finally:
+        wait((second,))
+    second.result()
+    return cut
+
+
 class SeededStream:
     """Deterministic U[0,1) source; the package's only randomness inlet.
 
@@ -101,11 +146,34 @@ class SeededStream:
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def uniforms(self, size: int) -> np.ndarray:
-        """Draw ``size`` U[0,1) variates as an ndarray."""
+        """Draw ``size`` U[0,1) variates as an ndarray.
+
+        From :data:`SPLIT_SIZE` values on, the draw is :func:`split`: the
+        caller draws the first half and the helper thread the second, from
+        a copy of the generator's state taken before either draws and
+        advanced past the first half. Each double uses exactly one 64-bit
+        PCG64 output, so the values, and every later draw, equal those of
+        one ``random(size)`` call.
+        """
         n = int(size)
         if n < 0:
             raise ValueError("size must be non-negative")
-        out = self._rng.random(n)
+        out = np.empty(n)
+        bits = self._rng.bit_generator
+        state = bits.state
+
+        def draw(lo, hi):
+            if lo == 0:
+                self._rng.random(out=out[:hi])
+            else:
+                ahead = np.random.PCG64()
+                ahead.state = state
+                ahead.advance(lo)
+                np.random.Generator(ahead).random(out=out[lo:hi])
+
+        cut = split(n, draw)
+        if cut < n:
+            bits.advance(n - cut)
         self.counter.uniform_draws += n
         return out
 
@@ -114,11 +182,20 @@ def affine(x, scale, offset, counter: OpCounter | None = None, out=None):
     """Write scale * x + offset into ``out`` (``x`` itself by default); return it.
 
     Multiply, then add, in place on ``out``, so the bits are the expression's.
-    This is prva's one affine step and its one charge: one multiply and one
-    add per value, when given a ``counter``.
+    The rows of ``out`` are :func:`split` between the caller and the helper
+    thread, which is elementwise and so changes no bit. This is prva's one
+    affine step and its one charge: one multiply and one add per value, when
+    given a ``counter``.
     """
-    out = np.multiply(x, scale, out=x if out is None else out)
-    out += offset
+    out = x if out is None else out
+    # a 0-d array as one row, viewed, so the halves write into ``out``
+    rows_x, rows_out = np.atleast_1d(x, out)
+
+    def step(lo, hi):
+        part = np.multiply(rows_x[lo:hi], scale, out=rows_out[lo:hi])
+        part += offset
+
+    split(len(rows_out), step)
     if counter is not None:
         counter.multiplications += out.size
         counter.additions += out.size
@@ -154,7 +231,11 @@ def reference_gaussian_sample(
     order the formulas above give, so every output bit equals that of
     evaluating them as plain expressions. Past the draw and the output,
     the work runs in blocks of candidate pairs, so its temporaries stay
-    small whatever ``size`` is.
+    small whatever ``size`` is. The draw and its map are :func:`split`
+    by values, and the kept-pair work by blocks in two phases: each
+    block's mask and count, then, from the offsets their prefix sum
+    gives, each block's normals. Every op is elementwise or per block,
+    so the halves change no bit and no charge.
     """
     n = int(size)
     out = np.empty(n, dtype=float)
@@ -165,35 +246,60 @@ def reference_gaussian_sample(
         # one U(-1, 1) draw holds x then y: PCG64 doubles are sequential, so
         # this is the same stream as two draws of ``pairs`` mapped by 2u - 1
         xy = inversion_sample(stream, UniformSpec(-1.0, 1.0), 2 * pairs)
+        x, y = xy[:pairs], xy[pairs:]
         # s = x*x + y*y and its test; the draw charged its own map
         counter.multiplications += 2 * pairs
         counter.additions += pairs
         counter.comparisons += pairs
-        kept = 0
         # the kept-pair work runs in blocks, so none of its temporaries is
-        # as large as the draw; kept pairs reach the output in draw order
-        for lo in range(0, pairs, _POLAR_BLOCK_PAIRS):
-            hi = min(lo + _POLAR_BLOCK_PAIRS, pairs)
-            x, y = xy[lo:hi], xy[pairs + lo : pairs + hi]
-            s = x * x
-            s += y * y
-            ok = np.flatnonzero((s > 0.0) & (s < 1.0))
-            kept += ok.size
-            # every kept pair is charged; only those the output needs are computed
-            take = min(2 * ok.size, n - filled)
-            if take == 0:
-                continue
-            ok = ok[: (take + 1) // 2]
-            sk = s.take(ok)
-            m = np.log(sk)
-            m *= -2.0
-            m /= sk
-            np.sqrt(m, out=m)
-            # x*m and y*m interleave straight into the output
-            half = take // 2
-            np.multiply(x.take(ok), m, out=out[filled : filled + take : 2])
-            np.multiply(y.take(ok[:half]), m[:half], out=out[filled + 1 : filled + take : 2])
-            filled += take
+        # as large as the draw; only each block's mask and count outlive it
+        blocks = range(0, pairs, _POLAR_BLOCK_PAIRS)
+        masks = [None] * len(blocks)
+        counts = np.zeros(len(blocks), dtype=np.int64)
+
+        def block_pairs(lo, hi):
+            """Each block index in pairs [lo, hi), lo on a block start, with its x and y."""
+            for b in range(lo // _POLAR_BLOCK_PAIRS, -(-hi // _POLAR_BLOCK_PAIRS)):
+                a = blocks[b]
+                yield b, x[a : a + _POLAR_BLOCK_PAIRS], y[a : a + _POLAR_BLOCK_PAIRS]
+
+        def test(lo, hi):
+            for b, xb, yb in block_pairs(lo, hi):
+                s = xb * xb
+                s += yb * yb
+                masks[b] = (s > 0.0) & (s < 1.0)
+                counts[b] = np.count_nonzero(masks[b])
+
+        split(pairs, test, _POLAR_BLOCK_PAIRS)
+        # kept pairs reach the output in draw order: each block writes from
+        # the offset its predecessors' kept pairs fill
+        offsets = filled + 2 * (np.cumsum(counts) - counts)
+
+        def transform(lo, hi):
+            for b, xb, yb in block_pairs(lo, hi):
+                at = int(offsets[b])
+                # every kept pair is charged; only those the output needs are computed
+                take = min(2 * int(counts[b]), n - at)
+                if take <= 0:
+                    continue
+                ok = np.flatnonzero(masks[b])[: (take + 1) // 2]
+                xk = xb.take(ok)
+                yk = yb.take(ok)
+                # elementwise, so bit-equal to the kept entries of s
+                sk = xk * xk
+                sk += yk * yk
+                m = np.log(sk)
+                m *= -2.0
+                m /= sk
+                np.sqrt(m, out=m)
+                # x*m and y*m interleave straight into the output
+                half = take // 2
+                np.multiply(xk, m, out=out[at : at + take : 2])
+                np.multiply(yk[:half], m[:half], out=out[at + 1 : at + take : 2])
+
+        split(pairs, transform, _POLAR_BLOCK_PAIRS)
+        kept = int(counts.sum())
+        filled = min(n, filled + 2 * kept)
         counter.rejections += pairs - kept
         counter.transcendental_evals += 2 * kept
         counter.multiplications += 3 * kept

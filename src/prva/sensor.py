@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import GaussianSpec, UniformSpec
-from .samplers import SeededStream, affine, inversion_sample, reference_gaussian_sample
+from .samplers import (
+    SeededStream,
+    affine,
+    inversion_sample,
+    reference_gaussian_sample,
+    split,
+)
 
 DEFAULT_SAMPLE_RATE_HZ = 1154.0
 
@@ -147,20 +153,31 @@ class AdcModel:
         return np.min_scalar_type(self.bin_count - 1)
 
     def quantize(self, values):
-        """Map values to codes of their shape in ``code_dtype``, saturating out-of-range ones."""
+        """Map values to codes of their shape in ``code_dtype``, saturating out-of-range ones.
+
+        The rows are :func:`~prva.samplers.split` between the caller and the
+        helper thread; each code depends on its own value alone, so the
+        codes are those of one pass.
+        """
         x = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("cannot quantize non-finite values")
-        # clip in float before the integer cast, and cast as the clip
-        # writes: casting first overflows for huge inputs and wraps them
-        # into the wrong bin. The cast truncates, which is floor on the
-        # clipped range. The out arrays keep a scalar input 0-d, so every
-        # step can run in place.
-        with np.errstate(over="ignore"):
-            idx = np.subtract(x, self.range_lo, out=np.empty_like(x))
-            np.divide(idx, self.width, out=idx)
-        codes = np.empty(idx.shape, self.code_dtype)
-        np.clip(idx, 0, self.bin_count - 1, out=codes, casting="unsafe")
+        codes = np.empty(x.shape, self.code_dtype)
+        # a 0-d input as one row, viewed, so the halves write into ``codes``
+        rows_x, rows_codes = np.atleast_1d(x, codes)
+
+        def step(lo, hi):
+            part = rows_x[lo:hi]
+            if not np.all(np.isfinite(part)):
+                raise ValueError("cannot quantize non-finite values")
+            # clip in float before the integer cast, and cast as the clip
+            # writes: casting first overflows for huge inputs and wraps them
+            # into the wrong bin. The cast truncates, which is floor on the
+            # clipped range. errstate holds per thread, so it is set here.
+            with np.errstate(over="ignore"):
+                idx = np.subtract(part, self.range_lo)
+                np.divide(idx, self.width, out=idx)
+            np.clip(idx, 0, self.bin_count - 1, out=rows_codes[lo:hi], casting="unsafe")
+
+        split(len(rows_x), step)
         return codes
 
     def value(self, codes):
@@ -367,10 +384,18 @@ def dequantize_with_jitter(trace: SampleTrace, stream: SeededStream) -> np.ndarr
     staircase of the quantizer is smoothed instead of echoed. One raw
     uniform is drawn per code; the codes are added to it in place and the
     sum is mapped by :func:`~prva.samplers.affine`. That charges one
-    multiply and two adds per code to the stream's counter.
+    multiply and two adds per code to the stream's counter. The draw, the
+    add and the map each :func:`~prva.samplers.split` their values between
+    the caller and the helper thread, which changes no bit.
     """
     out = stream.uniforms(trace.codes.size)
-    out += trace.codes
+    codes = trace.codes
+
+    def add_codes(lo, hi):
+        part = out[lo:hi]
+        part += codes[lo:hi]
+
+    split(out.size, add_codes)
     stream.counter.additions += out.size
     return affine(out, trace.adc.width, trace.adc.range_lo, stream.counter)
 

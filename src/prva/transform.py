@@ -129,9 +129,15 @@ class VariateCache:
     def closed(self) -> bool:
         return self._closed
 
-    def put_many(self, values) -> None:
-        """Append a copy of ``values`` in order, blocking while the cache is full."""
-        arr = np.array(values, dtype=float).ravel()
+    def put_many(self, values, *, copy: bool = True) -> None:
+        """Append ``values`` in order, blocking while the cache is full.
+
+        The cache keeps a copy, so the caller may reuse its buffer. With
+        ``copy=False`` it keeps a flat float64 ``values`` itself, which
+        nothing may write afterwards; :func:`fill_cache` hands over
+        :func:`apply`'s fresh output this way.
+        """
+        arr = (np.array if copy else np.asarray)(values, dtype=float).ravel()
         offset = 0
         while offset < arr.size:
             with self._cond:
@@ -240,7 +246,7 @@ def fill_cache(
     ``values`` is the N(0, 1) stream from :func:`compensate`, read as one
     flat float array (in place, so it must not change while a background
     fill runs) ``chunk_size`` values at a time; each chunk goes through
-    :func:`apply` and the cache keeps a copy of the result. Before anything
+    :func:`apply` and the cache keeps that fresh result itself. Before anything
     is produced, ValueError is raised for a ``chunk_size`` below 1 ("chunk_size
     must be >= 1") and for a ``coeffs`` whose mean and sigma are not exactly
     those of ``cache.requested_spec`` ("coefficients deliver ... into a cache
@@ -272,7 +278,8 @@ def fill_cache(
     def produce():
         try:
             for i in range(0, arr.size, chunk_size):
-                cache.put_many(apply(coeffs, arr[i : i + chunk_size], counter))
+                chunk = apply(coeffs, arr[i : i + chunk_size], counter)
+                cache.put_many(chunk, copy=False)
         except Exception as exc:
             cache.close(exc)
             if not background:

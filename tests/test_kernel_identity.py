@@ -24,6 +24,7 @@ import pytest
 from prva.distributions import GaussianSpec, UniformSpec, gaussian_pdf
 from prva.montecarlo import mc_integrate
 from prva.samplers import (
+    SPLIT_SIZE,
     SeededStream,
     inversion_sample,
     reference_gaussian_sample,
@@ -36,7 +37,7 @@ from prva.sensor import (
     generate_trace,
 )
 from prva.stats import fit_gaussian, histogram
-from prva.transform import VariateCache, apply, fill_cache, make_coeffs
+from prva.transform import VariateCache, apply, compensate, fill_cache, make_coeffs
 
 SPEC = GaussianSpec(980.794, 7.178)
 SIZES = (None, 1, 2, 3, 17, 100, 10**5, 10**6)
@@ -215,6 +216,56 @@ def test_generate_trace_codes_match_expression_form(n):
     raw = polar_expression(want_stream, grid.noise_params(10.0, 2.6), n)
     assert_identical(trace.codes, quantize_expression(adc, raw))
     assert_same_streams(got_stream, want_stream)
+
+
+# --- across the split size: from SPLIT_SIZE values on, the kernels run
+# as two halves, one on a helper thread ------------------------------------
+
+SPLIT_SIZES = (SPLIT_SIZE - 1, SPLIT_SIZE, SPLIT_SIZE + 1, 10**6, 3 * 10**6 + 5)
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_uniforms_match_one_draw_across_the_split_size(seed, n):
+    stream = SeededStream(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    assert_identical(stream.uniforms(n), rng.random(n))
+    # the draw after a split one continues the same sequence
+    assert_identical(stream.uniforms(5), rng.random(5))
+    assert stream.counter.uniform_draws == n + 5
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pipeline_matches_expression_forms_across_the_split_size(seed, n):
+    grid = default_grid()
+    adc = default_adc(grid)
+    spec = grid.noise_params(10.0, 2.6)
+    got_stream, want_stream = SeededStream(seed), SeededStream(seed)
+    got = reference_gaussian_sample(got_stream, spec, n)
+    raw = polar_expression(want_stream, spec, n)
+    assert_identical(got, raw)
+    assert_same_streams(got_stream, want_stream)
+    codes = quantize_expression(adc, raw)
+    assert_identical(adc.quantize(raw), codes)
+    got_stream, want_stream = SeededStream(seed), SeededStream(seed)
+    trace = generate_trace(got_stream, grid, 10.0, 2.6, adc, n)
+    assert_identical(trace.codes, codes)
+    assert_identical(trace.codes, quantize_expression(adc, polar_expression(want_stream, spec, n)))
+    assert_same_streams(got_stream, want_stream)
+    got_stream, want_stream = SeededStream(seed + 1), SeededStream(seed + 1)
+    assert_identical(dequantize_with_jitter(trace, got_stream), dequantize_expression(trace, want_stream))
+    assert_same_streams(got_stream, want_stream)
+    for calibration in (grid, None):
+        got_stream, want_stream = SeededStream(seed + 2), SeededStream(seed + 2)
+        values = dequantize_expression(trace, want_stream)
+        src = spec if calibration is not None else fit_gaussian(values)
+        standardize = make_coeffs(src, STANDARD)
+        want = standardize.sigma * values + standardize.mean
+        want_stream.counter.multiplications += n
+        want_stream.counter.additions += n
+        assert_identical(compensate(trace, calibration, stream=got_stream), want)
+        assert_same_streams(got_stream, want_stream)
 
 
 # --- the kernels on the benchmark path: gaussian_pdf, mc_integrate,

@@ -13,7 +13,7 @@ import pytest
 from prva import montecarlo
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.montecarlo import mc_integrate, parse_source, run_benchmark
-from prva.samplers import SeededStream, inversion_sample
+from prva.samplers import SPLIT_SIZE, SeededStream, inversion_sample
 from prva.sensor import default_adc, default_grid, generate_trace, store_trace
 
 TARGET = GaussianSpec(980.794, 7.178)
@@ -249,6 +249,49 @@ def test_forked_child_runs_the_benchmark():
         child.join()
         pytest.fail("the forked child hung in run_benchmark")
     assert child.exitcode == 0
+
+
+def _trace_in_child():
+    grid = default_grid()
+    generate_trace(SeededStream(0), grid, 10.0, 2.6, default_adc(grid), SPLIT_SIZE)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_splits_its_own_work():
+    # the child inherits the started helper object but not its thread, so
+    # a split submitted to it would never run
+    _trace_in_child()
+    child = multiprocessing.get_context("fork").Process(target=_trace_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung in generate_trace")
+    assert child.exitcode == 0
+
+
+def test_split_benchmark_is_deterministic_across_thread_counts():
+    # both pool workers split their draws over the one helper thread
+    reports = {}
+
+    def run(threads):
+        reports[threads] = run_benchmark(
+            ("gaussian", "prva"), TARGET, SPLIT_SIZE, 2, threads=threads, seed=3
+        )
+
+    for threads in (1, 2):
+        worker = threading.Thread(target=run, args=(threads,), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), f"run_benchmark hung at threads={threads}"
+    one, two = reports[1], reports[2]
+    assert one.summary_lines() == two.summary_lines()
+    for a, b in zip(one.sources, two.sources):
+        assert (a.source, a.mean_error, a.error_ci90, a.ops) == (b.source, b.mean_error, b.error_ci90, b.ops)
 
 
 def test_benchmark_uniform_ops_are_two_per_variate():

@@ -1,15 +1,20 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from prva.distributions import GaussianSpec, UniformSpec
 from prva.samplers import (
+    SPLIT_SIZE,
     OpCounter,
     SeededStream,
     derive_seed,
     inversion_sample,
     reference_gaussian_sample,
+    split,
 )
 
 
@@ -170,3 +175,56 @@ def test_polar_rejection_accounting():
     # unit-square-to-disc rejection rate is 1 - pi/4
     assert abs(rate - (1.0 - math.pi / 4.0)) < 0.01
     assert counter.transcendental_evals > 0
+
+
+def test_split_surfaces_a_raising_half_after_the_other_finishes():
+    for raising in (0, 1):
+        finished = []
+
+        def work(lo, hi):
+            if (lo > 0) == raising:
+                raise RuntimeError(f"half from {lo}")
+            time.sleep(0.2)
+            finished.append(lo)
+
+        with pytest.raises(RuntimeError, match="half from"):
+            split(SPLIT_SIZE, work)
+        # the other half ran to its end before the error reached the caller
+        assert finished == [SPLIT_SIZE // 2 if raising == 0 else 0]
+
+
+def test_split_runs_small_work_inline_and_cuts_on_the_grain():
+    calls = []
+    assert split(SPLIT_SIZE - 1, lambda lo, hi: calls.append((lo, hi))) == SPLIT_SIZE - 1
+    assert calls == [(0, SPLIT_SIZE - 1)]
+    calls.clear()
+    n = SPLIT_SIZE + 5
+    cut = split(n, lambda lo, hi: calls.append((lo, hi)), 1000)
+    assert cut == n // 2 // 1000 * 1000
+    assert sorted(calls) == [(0, cut), (cut, n)]
+
+
+def test_concurrent_split_draws_match_one_draw_each():
+    # more callers than cores share the one helper thread; each stream's
+    # split draws must still equal its own single draw
+    n, callers = SPLIT_SIZE + 3, 4
+    results = [None] * callers
+
+    def draw(k):
+        stream = SeededStream(k)
+        results[k] = [stream.uniforms(n) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a split draw hung"
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(callers):
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(k))).random(3 * n)
+        np.testing.assert_array_equal(np.concatenate(results[k]), want)

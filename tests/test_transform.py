@@ -293,6 +293,25 @@ def test_cache_put_many_keeps_its_own_copy():
     np.testing.assert_array_equal(cache.get_many(4), [0.0, 1.0, 2.0, 3.0])
 
 
+def test_fill_cache_queues_apply_output_without_copying(monkeypatch):
+    # apply returns a fresh chunk; copying it again into the cache was waste
+    returned = []
+    real_apply = transform.apply
+
+    def recording_apply(*args, **kwargs):
+        returned.append(real_apply(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(transform, "apply", recording_apply)
+    cache = VariateCache(100, GaussianSpec(5.0, 2.0))
+    fill_cache(cache, np.arange(100.0), GaussianSpec(5.0, 2.0), chunk_size=32)
+    chunks = list(cache._chunks)
+    assert len(chunks) == len(returned) == 4
+    for chunk, fresh in zip(chunks, returned):
+        assert np.shares_memory(chunk, fresh)
+    np.testing.assert_array_equal(cache.get_many(100), 2.0 * np.arange(100.0) + 5.0)
+
+
 def test_cache_partial_delivery_on_close():
     # a closed cache holds all it will give, so a count far beyond that
     # allocates only what is there
